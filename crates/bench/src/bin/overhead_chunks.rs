@@ -3,7 +3,7 @@
 //! For every scheme in `Schedule::roster` the same near-empty body (an
 //! 8-byte store per iteration) runs two ways over the same range:
 //!
-//! * **dyn** — through [`par_for_dyn`]: identical chunk decomposition,
+//! * **dyn** — through `par_for_dyn` below: identical chunk decomposition,
 //!   but the body is a `&dyn Fn(usize)` trait object, so every iteration
 //!   pays one virtual call (the pre-chunk-layer execution model);
 //! * **chunked** — through [`par_for_chunks`] with a monomorphized chunk
@@ -17,8 +17,27 @@
 //! [--quick]`
 
 use parloop_bench::{quick_flag, time_best_ns, Table};
-use parloop_core::{par_for_chunks, par_for_dyn, Schedule};
+use std::ops::Range;
+
+use parloop_core::{par_for_chunks, Schedule};
 use parloop_runtime::ThreadPool;
+
+/// Dyn-dispatch `par_for`: the body is a trait object, so every iteration
+/// pays one virtual call. It runs through [`par_for_chunks`], so it
+/// decomposes `range` into exactly the same chunks (and places them on
+/// the same workers) as the monomorphized path it is compared against.
+fn par_for_dyn(
+    pool: &ThreadPool,
+    range: Range<usize>,
+    sched: Schedule,
+    body: &(dyn Fn(usize) + Sync),
+) {
+    par_for_chunks(pool, range, sched, move |chunk: Range<usize>| {
+        for i in chunk {
+            body(i);
+        }
+    });
+}
 
 /// A write-only output vector shared across workers. Iterations write
 /// disjoint indices (every scheduler covers each index exactly once), so

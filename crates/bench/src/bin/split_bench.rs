@@ -1,5 +1,6 @@
-//! Split-policy benchmark: lazy steal-driven splitting vs eager
-//! divide-and-conquer for the work-stealing inner loop.
+//! Splitter benchmark: lazy steal-driven splitting (`lazy_for_chunks`,
+//! the engine every loop runs on) vs eager divide-and-conquer
+//! (`ws_for_chunks_eager`) for the work-stealing inner loop.
 //!
 //! Two measurements, written to `results/lazy_split.json`:
 //!
@@ -42,8 +43,24 @@
 use std::ops::Range;
 
 use parloop_bench::{time_best_ns, Table};
-use parloop_core::{lazy_for_chunks_coordinator, ws_for_chunks_policy, SplitPolicy};
+use parloop_core::{lazy_for_chunks, lazy_for_chunks_coordinator, ws_for_chunks_eager};
 use parloop_runtime::{PoolStats, ThreadPool};
+
+/// The two splitting engines under comparison.
+#[derive(Clone, Copy)]
+enum Split {
+    Lazy,
+    Eager,
+}
+
+fn split<F: Fn(Range<usize>) + Sync>(engine: Split, range: Range<usize>, grain: usize, body: &F) {
+    match engine {
+        Split::Lazy => {
+            lazy_for_chunks(range, grain, body);
+        }
+        Split::Eager => ws_for_chunks_eager(range, grain, body),
+    }
+}
 
 /// `PoolStats` deltas from running `loops` identical lazy/eager loops.
 struct PushSample {
@@ -68,16 +85,16 @@ fn measure_pushes(workers: usize, loops: u64, n: usize, grain: usize) -> PushSam
     let body = |chunk: Range<usize>| {
         std::hint::black_box(chunk.len());
     };
-    let run = |policy: SplitPolicy| {
+    let run = |engine: Split| {
         let before = pool.stats();
         for _ in 0..loops {
-            pool.install(|| ws_for_chunks_policy(0..n, grain, policy, &body));
+            pool.install(|| split(engine, 0..n, grain, &body));
         }
         let after = pool.stats();
         delta(&before, &after)
     };
-    let (lazy_pushes, lazy_steals, lazy_assists) = run(SplitPolicy::Lazy);
-    let (eager_pushes, _, _) = run(SplitPolicy::Eager);
+    let (lazy_pushes, lazy_steals, lazy_assists) = run(Split::Lazy);
+    let (eager_pushes, _, _) = run(Split::Eager);
     PushSample { workers, loops, lazy_pushes, lazy_steals, lazy_assists, eager_pushes }
 }
 
@@ -95,16 +112,12 @@ fn measure_time(pool: &ThreadPool, n: usize, grain: usize, reps: usize) -> TimeR
         }
         std::hint::black_box(acc);
     };
-    let time = |policy: SplitPolicy| {
+    let time = |engine: Split| {
         time_best_ns(reps, || {
-            pool.install(|| ws_for_chunks_policy(0..n, grain, policy, &body));
+            pool.install(|| split(engine, 0..n, grain, &body));
         }) / n as f64
     };
-    TimeRow {
-        grain,
-        lazy_ns_per_iter: time(SplitPolicy::Lazy),
-        eager_ns_per_iter: time(SplitPolicy::Eager),
-    }
+    TimeRow { grain, lazy_ns_per_iter: time(Split::Lazy), eager_ns_per_iter: time(Split::Eager) }
 }
 
 /// Per-loop fixed cost at one worker count: ns per near-empty loop.
@@ -129,17 +142,17 @@ fn measure_floor(workers: usize, reps: usize) -> FloorRow {
     let body = |chunk: Range<usize>| {
         std::hint::black_box(chunk.len());
     };
-    let time_policy = |policy: SplitPolicy| {
+    let time_engine = |engine: Split| {
         pool.install(|| {
             time_best_ns(reps, || {
                 for _ in 0..LOOPS {
-                    ws_for_chunks_policy(0..n, grain, policy, &body);
+                    split(engine, 0..n, grain, &body);
                 }
             })
         }) / LOOPS as f64
     };
-    let lazy_ns = time_policy(SplitPolicy::Lazy);
-    let eager_ns = time_policy(SplitPolicy::Eager);
+    let lazy_ns = time_engine(Split::Lazy);
+    let eager_ns = time_engine(Split::Eager);
     let coord_ns = (workers == 1).then(|| {
         pool.install(|| {
             time_best_ns(reps, || {

@@ -15,10 +15,11 @@
 //!    analysis's "at most P protocol steals"); if `r` is already claimed,
 //!    the thief simply returns to ordinary randomized work stealing —
 //!    where it can still steal *chunks* of claimed partitions, because
-//!    each partition body runs as a stealable divide-and-conquer loop.
+//!    each partition body runs as a stealable (lazily split) loop.
 //! 3. `DoHybridLoop` walks the semi-deterministic claim sequence
 //!    ([`ClaimWalker`]); every successfully claimed partition executes via
-//!    [`ws_for_chunks`] and then decrements the loop's completion latch.
+//!    the lazy splitter ([`lazy_for_chunks`]) and then decrements the
+//!    loop's completion latch.
 //!
 //! Theorem 3 (every partition executes exactly once) carries over
 //! directly: claims are `fetch_or` on `A`, and only a winning claim
@@ -64,7 +65,7 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -74,12 +75,13 @@ use parloop_runtime::{
 };
 
 use crate::claim::{locality_earmark, partitions_oversubscribed, ClaimTable, ClaimWalker};
-use crate::lazy::SplitPolicy;
+use crate::lazy::lazy_for_chunks;
 use crate::range::block_bounds;
-use crate::stealing::ws_for_chunks_policy;
 use crate::util::SendPtr;
 
-/// Observability counters from one hybrid loop execution.
+/// Observability counters from one loop execution. Every field but
+/// `assist_joins` is specific to the hybrid scheme and reads 0 under the
+/// other schedules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HybridStats {
     /// Number of partitions `R`.
@@ -98,15 +100,17 @@ pub struct HybridStats {
     /// Assistants that joined the *inner* lazy loops of this loop's
     /// partitions (summed across partitions). Per-loop — nested hybrid
     /// loops each count only their own partitions' assists — which is the
-    /// contention signal the adaptive grain controller consumes. Always 0
-    /// under [`SplitPolicy::Eager`] (no assist handles exist there).
+    /// contention signal the adaptive grain controller consumes. Under
+    /// `Schedule::DynamicStealing` it counts the one lazy loop's assists.
     pub assist_joins: usize,
 }
 
-/// Why a `try_` hybrid loop did not complete normally. Carries the stats
-/// either way, so skipped partitions stay observable in failed runs.
+/// Why a loop run through `Loop::run` did not complete normally. Carries
+/// the stats either way, so skipped partitions stay observable in failed
+/// runs.
 pub enum HybridError {
-    /// The loop's [`CancelToken`] fired before all partitions executed.
+    /// The loop's [`CancelToken`] fired and some chunk or partition was
+    /// skipped because of it.
     Cancelled(HybridStats),
     /// A loop body (or an injected fault) panicked; `payload` is the first
     /// captured panic.
@@ -163,8 +167,6 @@ struct HybridState<F> {
     n: usize,
     r_parts: usize,
     grain: usize,
-    /// Splitting engine for the stealable inner loop of each partition.
-    policy: SplitPolicy,
     body: SendPtr<F>,
     /// Adopter frames spawned so far (the initial frame plus re-publishes).
     frames: AtomicUsize,
@@ -178,8 +180,8 @@ struct HybridState<F> {
     skipped: AtomicUsize,
     /// Assist joins across this loop's partitions' inner lazy loops.
     assists: AtomicUsize,
-    /// Cooperative cancellation for the `try_` entry points; `None` for the
-    /// infallible API (the common path pays one `Option` check per claim).
+    /// Cooperative cancellation; `None` for loops without a token (the
+    /// common path pays one `Option` check per claim).
     cancel: Option<CancelToken>,
     /// The pool's worker → socket map, anchoring each participant's claim
     /// walk at a partition homed on its own socket ([`locality_earmark`]).
@@ -255,99 +257,26 @@ impl Drop for LatchBatch<'_> {
     }
 }
 
-/// Execute `body` over chunks of `range` with the hybrid scheme. Must be
-/// called on a pool worker (`token`). Returns scheduling counters.
-pub(crate) fn hybrid_for<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    body: &F,
-) -> HybridStats
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    hybrid_for_oversub(token, range, grain, 1, body)
-}
-
-/// [`hybrid_for`] with `R = next_pow2(P · oversub)` partitions — the
-/// paper's general-`R` setting (Theorem 5).
-pub(crate) fn hybrid_for_oversub<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    oversub: usize,
-    body: &F,
-) -> HybridStats
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    hybrid_for_oversub_policy(token, range, grain, oversub, SplitPolicy::default(), body)
-}
-
-/// [`hybrid_for_oversub`] with an explicit inner-loop [`SplitPolicy`]
-/// (the A/B knob the split benchmarks flip).
-pub(crate) fn hybrid_for_oversub_policy<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    oversub: usize,
-    policy: SplitPolicy,
-    body: &F,
-) -> HybridStats
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    match hybrid_for_inner(token, range, grain, oversub, policy, None, body) {
-        Ok(stats) => stats,
-        Err(HybridError::Panicked { payload, .. }) => resume_unwind(payload),
-        Err(HybridError::Cancelled(_)) => {
-            unreachable!("no cancel token was supplied to hybrid_for_oversub")
-        }
-    }
-}
-
-/// Fallible [`hybrid_for_oversub`]: panics are returned rather than
-/// resumed, and the loop observes `cancel` cooperatively.
+/// Execute `body` over chunks of `range` with the hybrid scheme and
+/// `R = next_pow2(P · oversub)` partitions — the paper's general-`R`
+/// setting (Theorem 5). Must be called on a pool worker (`token`).
+/// Panics are returned rather than resumed, and the loop observes
+/// `cancel` cooperatively.
 ///
 /// Exactly-once (Theorem 3) is preserved for the partitions that *did*
 /// run: cancellation/poisoning only ever skips whole partitions whose
 /// claim was won after the token fired, never re-runs one. A cancelled
 /// run still resolves the completion latch — cancelled walkers drain the
 /// remaining unclaimed partitions (claiming them and skipping their
-/// bodies) so the initiator never hangs.
-///
-/// Note: `Err(Cancelled)` means the token was observed fired while
-/// partitions were still outstanding; a token that fires after the last
-/// body finished may still yield `Ok`.
-pub(crate) fn try_hybrid_for_oversub<F>(
+/// bodies) so the initiator never hangs. `Err(Cancelled)` means some
+/// partition was skipped; a token that fires after the last partition
+/// was claimed yields `Ok`.
+pub(crate) fn hybrid_for<F>(
     token: WorkerToken,
     range: Range<usize>,
     grain: usize,
     oversub: usize,
-    cancel: &CancelToken,
-    body: &F,
-) -> Result<HybridStats, HybridError>
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    hybrid_for_inner(
-        token,
-        range,
-        grain,
-        oversub,
-        SplitPolicy::default(),
-        Some(cancel.clone()),
-        body,
-    )
-}
-
-fn hybrid_for_inner<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    oversub: usize,
-    policy: SplitPolicy,
-    cancel: Option<CancelToken>,
+    cancel: Option<&CancelToken>,
     body: &F,
 ) -> Result<HybridStats, HybridError>
 where
@@ -365,10 +294,8 @@ where
     // a cancel token is present (the cancel drain path needs the table).
     if r_parts == 1 && cancel.is_none() && !token.chaos_enabled() {
         let stats = HybridStats { partitions: 1, ..HybridStats::default() };
-        return match catch_unwind(AssertUnwindSafe(|| {
-            ws_for_chunks_policy(range, grain, policy, body)
-        })) {
-            Ok(()) => Ok(stats),
+        return match catch_unwind(AssertUnwindSafe(|| lazy_for_chunks(range, grain, body))) {
+            Ok(assist_joins) => Ok(HybridStats { assist_joins, ..stats }),
             Err(payload) => Err(HybridError::Panicked { stats, payload }),
         };
     }
@@ -380,7 +307,6 @@ where
         n,
         r_parts,
         grain,
-        policy,
         // SAFETY (lifetime erasure): this function blocks on `state.latch`
         // (all `R` partitions executed) before returning, and
         // `execute_partition` is the only deref site — every deref happens
@@ -396,7 +322,7 @@ where
         poisoned: AtomicBool::new(false),
         skipped: AtomicUsize::new(0),
         assists: AtomicUsize::new(0),
-        cancel,
+        cancel: cancel.cloned(),
         topology: token.topology(),
     });
 
@@ -636,7 +562,7 @@ where
                 FaultAction::Fail | FaultAction::Kill | FaultAction::None => {}
             }
         }
-        crate::stealing::ws_for_chunks_policy_counted(range, state.grain, state.policy, body)
+        lazy_for_chunks(range, state.grain, body)
     })) {
         Ok(assists) => {
             if assists > 0 {
@@ -652,6 +578,7 @@ where
 mod tests {
     use super::*;
     use parloop_runtime::ThreadPool;
+    use std::panic::resume_unwind;
     use std::sync::atomic::AtomicUsize;
 
     fn run_hybrid(
@@ -662,11 +589,15 @@ mod tests {
     ) -> HybridStats {
         pool.install(|| {
             let token = WorkerToken::current().unwrap();
-            hybrid_for(token, 0..n, grain, &|chunk: Range<usize>| {
+            hybrid_for(token, 0..n, grain, 1, None, &|chunk: Range<usize>| {
                 for i in chunk {
                     body(i);
                 }
             })
+        })
+        .unwrap_or_else(|e| match e {
+            HybridError::Panicked { payload, .. } => resume_unwind(payload),
+            other => panic!("{other:?}"),
         })
     }
 
@@ -740,14 +671,16 @@ mod tests {
         let total = AtomicUsize::new(0);
         pool.install(|| {
             let token = WorkerToken::current().unwrap();
-            hybrid_for(token, 0..8, 1, &|outer: Range<usize>| {
+            hybrid_for(token, 0..8, 1, 1, None, &|outer: Range<usize>| {
                 for _ in outer {
                     let inner_token = WorkerToken::current().unwrap();
-                    hybrid_for(inner_token, 0..10, 2, &|inner: Range<usize>| {
+                    hybrid_for(inner_token, 0..10, 2, 1, None, &|inner: Range<usize>| {
                         total.fetch_add(inner.len(), Ordering::Relaxed);
-                    });
+                    })
+                    .unwrap();
                 }
-            });
+            })
+            .unwrap();
         });
         assert_eq!(total.load(Ordering::Relaxed), 80);
     }
@@ -778,17 +711,9 @@ mod tests {
         let err = single
             .install(|| {
                 let token = WorkerToken::current().unwrap();
-                hybrid_for_inner(
-                    token,
-                    0..64,
-                    4,
-                    4,
-                    SplitPolicy::default(),
-                    None,
-                    &|_chunk: Range<usize>| {
-                        panic!("first partition dies");
-                    },
-                )
+                hybrid_for(token, 0..64, 4, 4, None, &|_chunk: Range<usize>| {
+                    panic!("first partition dies");
+                })
             })
             .expect_err("poisoned loop must report the panic");
         match err {
@@ -823,11 +748,12 @@ mod tests {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let stats = pool.install(|| {
                 let token = WorkerToken::current().unwrap();
-                hybrid_for_oversub(token, 0..n, 16, oversub, &|chunk: Range<usize>| {
+                hybrid_for(token, 0..n, 16, oversub, None, &|chunk: Range<usize>| {
                     for i in chunk {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }
                 })
+                .unwrap()
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "oversub={oversub}");
             assert_eq!(stats.partitions, (3 * oversub).next_power_of_two());
@@ -861,7 +787,6 @@ mod tests {
                 n: 0,
                 r_parts: 2,
                 grain: 1,
-                policy: SplitPolicy::default(),
                 body: SendPtr::new(&body),
                 frames: AtomicUsize::new(0),
                 adoptions: AtomicUsize::new(0),

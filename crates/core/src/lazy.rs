@@ -1,5 +1,5 @@
-//! Lazy, steal-driven loop splitting — the default inner engine of every
-//! dynamically-stolen loop.
+//! Lazy, steal-driven loop splitting — the inner engine of every
+//! dynamically-stolen loop (`vanilla` and each claimed hybrid partition).
 //!
 //! Eager binary splitting ([`crate::stealing::ws_for_chunks_eager`]) pays
 //! one `join` — a deque push, a Chase–Lev pop or steal, and a latch — at
@@ -64,7 +64,7 @@
 //! and this worker — the only one — is busy running the loop. So with one
 //! worker the loop skips the coordinator allocation, the latch, the
 //! handshake and the claim machinery entirely and runs as a plain chunked
-//! call ([`lazy_for_chunks`] dispatches to `run_uncontended`). Observable
+//! call (the bypass branch of [`lazy_for_chunks`]). Observable
 //! behaviour is unchanged: chunk trace brackets still fire, panics still
 //! propagate to the caller, and `Site::AssistClaim` is — as on the
 //! coordinator path with zero assists — never consulted.
@@ -102,30 +102,6 @@ use parloop_runtime::chaos::{chaos_spin, INJECTED_PANIC_MSG};
 use parloop_runtime::{CountLatch, FaultAction, Latch, Site, TraceEvent, WorkerToken};
 
 use crate::util::SendPtr;
-
-/// How a dynamically-stolen loop turns its range into stealable units.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SplitPolicy {
-    /// Steal-driven lazy splitting (the default): one assist handle in the
-    /// deque, chunks claimed off a shared packed cursor, deque pushes per
-    /// loop bounded by `O(steals + 1)`.
-    #[default]
-    Lazy,
-    /// Eager divide-and-conquer binary splitting (the Cilk baseline):
-    /// every split level is a `join`, costing `~n/grain` deque round-trips
-    /// per loop regardless of steals. Kept for A/B comparison.
-    Eager,
-}
-
-impl SplitPolicy {
-    /// Short stable name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            SplitPolicy::Lazy => "lazy",
-            SplitPolicy::Eager => "eager",
-        }
-    }
-}
 
 #[inline]
 fn pack(cursor: u64, end: u64) -> u64 {
@@ -197,81 +173,19 @@ impl<F> LoopCoordinator<F> {
 /// (serial elision). Ranges longer than `u32::MAX` iterations fall back to
 /// eager splitting (the packed cursor is 32-bit).
 ///
-/// On a **one-worker pool** the entire coordinator is bypassed: no thief
-/// can ever exist, so the loop runs as a plain chunked call — zero
-/// allocations, zero atomics, zero latch waits, and the `AssistClaim`
-/// chaos site is never consulted (there is no claim loop to inject into).
-/// Panics propagate unchanged (there is no sibling participant to poison).
-pub fn lazy_for_chunks<F>(range: Range<usize>, grain: usize, body: &F)
+/// Returns how many assistants joined *this* loop. The count is per-loop
+/// (each join is charged to the loop whose handle was adopted, even under
+/// nesting), which is what the adaptive grain controller feeds on — the
+/// pool-global `assist_joins` total cannot distinguish an inner loop's
+/// contention from its enclosing loop's. The bypass paths (off-pool,
+/// single chunk, one-worker pool, eager fallback) return 0: no assist
+/// handle is ever published there. On a one-worker pool the coordinator
+/// is bypassed entirely (module docs).
+pub fn lazy_for_chunks<F>(range: Range<usize>, grain: usize, body: &F) -> usize
 where
     F: Fn(Range<usize>) + Sync,
 {
-    lazy_for_chunks_counted(range, grain, body);
-}
-
-/// [`lazy_for_chunks`] that also reports how many assistants joined *this*
-/// loop. The count is per-loop (each join is charged to the loop whose
-/// handle was adopted, even under nesting), which is what the adaptive
-/// grain controller feeds on — the pool-global `assist_joins` total cannot
-/// distinguish an inner loop's contention from its enclosing loop's. The
-/// bypass paths (off-pool, single chunk, one-worker pool) return 0 by
-/// construction: no assist handle is ever published there.
-pub fn lazy_for_chunks_counted<F>(range: Range<usize>, grain: usize, body: &F) -> usize
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let grain = grain.max(1);
-    let n = range.len();
-    if n == 0 {
-        return 0;
-    }
-    let Some(token) = WorkerToken::current() else {
-        let mut lo = range.start;
-        while lo < range.end {
-            let hi = (lo + grain).min(range.end);
-            body(lo..hi);
-            lo = hi;
-        }
-        return 0;
-    };
-    let tracing = token.tracing_enabled();
-    if n <= grain {
-        run_chunk(&token, tracing, range, body);
-        return 0;
-    }
-    // Single-worker bypass: the coordinator exists only to let thieves
-    // join, and a P = 1 pool has none. See `run_uncontended`.
-    if token.num_workers() == 1 {
-        run_uncontended(&token, tracing, range, grain, body);
-        return 0;
-    }
-    if n > u32::MAX as usize {
-        crate::stealing::ws_for_chunks_eager(range, grain, body);
-        return 0;
-    }
-    coordinated_loop(&token, range, grain, n, body)
-}
-
-/// The single-worker fast path: a plain loop over grain-sized chunks.
-/// Keeps the `ChunkStart`/`ChunkEnd` trace bracket (observability is
-/// unchanged) but allocates nothing and performs no atomic operation —
-/// the per-loop fixed cost is the chunked call itself.
-#[inline]
-fn run_uncontended<F>(
-    token: &WorkerToken,
-    tracing: bool,
-    range: Range<usize>,
-    grain: usize,
-    body: &F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    let mut lo = range.start;
-    while lo < range.end {
-        let hi = (lo + grain).min(range.end);
-        run_chunk(token, tracing, lo..hi, body);
-        lo = hi;
-    }
+    split_lazily(range, grain, true, body)
 }
 
 /// Force the full coordinator path even where [`lazy_for_chunks`] would
@@ -284,34 +198,59 @@ pub fn lazy_for_chunks_coordinator<F>(range: Range<usize>, grain: usize, body: &
 where
     F: Fn(Range<usize>) + Sync,
 {
+    split_lazily(range, grain, false, body);
+}
+
+/// The shared entry of both public functions; `bypass` enables the
+/// single-worker fast path.
+fn split_lazily<F>(range: Range<usize>, grain: usize, bypass: bool, body: &F) -> usize
+where
+    F: Fn(Range<usize>) + Sync,
+{
     let grain = grain.max(1);
     let n = range.len();
     if n == 0 {
-        return;
+        return 0;
     }
     let Some(token) = WorkerToken::current() else {
-        let mut lo = range.start;
-        while lo < range.end {
-            let hi = (lo + grain).min(range.end);
-            body(lo..hi);
-            lo = hi;
-        }
-        return;
+        for_each_chunk(range, grain, body);
+        return 0;
     };
+    let tracing = token.tracing_enabled();
     if n <= grain {
-        run_chunk(&token, token.tracing_enabled(), range, body);
-        return;
+        run_chunk(&token, tracing, range, body);
+        return 0;
+    }
+    // Single-worker bypass: the coordinator exists only to let thieves
+    // join, and a P = 1 pool has none: a plain loop over grain-sized
+    // chunks, keeping the `ChunkStart`/`ChunkEnd` trace bracket but
+    // allocating nothing and performing no atomic operation.
+    if bypass && token.num_workers() == 1 {
+        for_each_chunk(range, grain, |chunk| run_chunk(&token, tracing, chunk, body));
+        return 0;
     }
     if n > u32::MAX as usize {
         crate::stealing::ws_for_chunks_eager(range, grain, body);
-        return;
+        return 0;
     }
-    coordinated_loop(&token, range, grain, n, body);
+    coordinated_loop(&token, range, grain, n, body)
+}
+
+/// Call `f` on consecutive chunks of at most `grain` iterations, in order
+/// (overflow-free even for ranges ending at `usize::MAX`).
+#[inline]
+fn for_each_chunk(range: Range<usize>, grain: usize, mut f: impl FnMut(Range<usize>)) {
+    let mut lo = range.start;
+    while lo < range.end {
+        let hi = lo + grain.min(range.end - lo);
+        f(lo..hi);
+        lo = hi;
+    }
 }
 
 /// The shared-cursor coordinator path (P > 1, or forced via
 /// [`lazy_for_chunks_coordinator`]). Returns this loop's assist-join
-/// count (see [`lazy_for_chunks_counted`]).
+/// count (see [`lazy_for_chunks`]).
 fn coordinated_loop<F>(
     token: &WorkerToken,
     range: Range<usize>,
@@ -691,13 +630,6 @@ mod tests {
             });
         });
         assert_eq!(count.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn split_policy_names_are_stable() {
-        assert_eq!(SplitPolicy::Lazy.name(), "lazy");
-        assert_eq!(SplitPolicy::Eager.name(), "eager");
-        assert_eq!(SplitPolicy::default(), SplitPolicy::Lazy);
     }
 
     #[test]

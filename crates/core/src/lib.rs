@@ -54,18 +54,13 @@ pub use claim::{
     partitions_oversubscribed, run_claim_heuristic, ClaimTable, ClaimWalker, HeuristicStats,
 };
 pub use hybrid::{HybridError, HybridStats};
+pub use lazy::lazy_for_chunks;
 #[doc(hidden)]
 pub use lazy::lazy_for_chunks_coordinator;
-pub use lazy::{lazy_for_chunks, lazy_for_chunks_counted, SplitPolicy};
 pub use range::{block_bounds, block_of, default_grain, grain_bounds};
 pub use reduce::{par_max_f64, par_reduce, par_sum_f64, par_sum_u64};
 pub use schedule::{
-    hybrid_for_with_stats, par_for, par_for_chunks, par_for_chunks_grain_policy,
-    par_for_chunks_policy, par_for_chunks_with_grain, par_for_dyn, par_for_tracked, try_hybrid_for,
-    try_par_for_chunks, GrainPolicy, Schedule,
+    hybrid_for_with_stats, par_for, par_for_chunks, par_for_tracked, GrainPolicy, Loop, Schedule,
 };
 pub use static_part::{static_cyclic_owner, static_owner};
-pub use stealing::{
-    ws_for, ws_for_chunks, ws_for_chunks_eager, ws_for_chunks_policy, ws_for_chunks_policy_counted,
-    ws_for_policy,
-};
+pub use stealing::ws_for_chunks_eager;

@@ -1,33 +1,35 @@
 //! The unified scheduling API: pick a [`Schedule`], call [`par_for`] (or
 //! [`par_for_chunks`] when the body wants whole chunks).
 //!
+//! Every loop runs through one dispatcher, [`Loop::run`]: a [`Loop`] spec
+//! composes the schedule with a [`GrainPolicy`] and an optional
+//! [`CancelToken`], and every combination takes the same path — the
+//! grain is resolved once, cancellation gates every chunk, and the
+//! scheduling counters come back for every schedule. The infallible entry
+//! points ([`par_for`], [`par_for_chunks`], [`par_for_tracked`],
+//! [`hybrid_for_with_stats`]) are thin wrappers that re-raise panics.
+//!
 //! All schedulers are generic over the body type: [`par_for_chunks`] is
 //! the primitive, and [`par_for`] layers a per-index loop over each chunk,
-//! so iteration bodies still compile to tight monomorphized loops. The
-//! dyn-dispatch path survives only as [`par_for_dyn`], a compatibility
-//! wrapper with the *same* chunk decomposition (one virtual call per
-//! iteration — the overhead the chunk layer exists to kill).
+//! so iteration bodies still compile to tight monomorphized loops.
 
 use std::ops::Range;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use parloop_runtime::chaos::chaos_spin;
 use parloop_runtime::{
-    current_worker_index, CancelToken, Cancelled, FaultAction, Site, ThreadPool, TraceEvent,
-    WorkerToken,
+    current_worker_index, CancelToken, FaultAction, Site, ThreadPool, TraceEvent, WorkerToken,
 };
 
-use crate::adapt::{AdaptiveSite, LoopSignals};
+use crate::adapt::{AdaptiveSite, LoopSignals, LoopStart};
 use crate::affinity::AffinityProbe;
-use crate::hybrid::{
-    hybrid_for, hybrid_for_oversub_policy, try_hybrid_for_oversub, HybridError, HybridStats,
-};
-use crate::lazy::SplitPolicy;
+use crate::hybrid::{hybrid_for, HybridError, HybridStats};
+use crate::lazy::lazy_for_chunks;
 use crate::range::default_grain;
 use crate::sharing::{sharing_for, static_sharing_for, SharingPolicy};
-use crate::static_part::static_for;
-use crate::stealing::{ws_for_chunks_policy, ws_for_chunks_policy_counted};
+use crate::static_part::{static_cyclic_for, static_for};
 
 /// A loop-scheduling policy — one per platform/scheme the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +108,44 @@ impl Schedule {
         Schedule::Hybrid { grain: None, oversub: factor.max(1) }
     }
 
+    /// This schedule with its granularity knob set to `grain` (clamped to
+    /// at least 1): the splitter grain of [`Schedule::DynamicStealing`] /
+    /// [`Schedule::Hybrid`], the fixed chunk of [`Schedule::WorkSharing`] /
+    /// [`Schedule::StaticCyclic`], the minimum chunk of
+    /// [`Schedule::Guided`]. The block-partitioned schemes
+    /// ([`Schedule::Static`], [`Schedule::StaticSharing`]) have no chunk
+    /// knob and come back unchanged.
+    ///
+    /// `default_grain` only sees the iteration *count*, never the body's
+    /// weight — a caller that knows each iteration is heavy (or trivially
+    /// light) pins a smaller (or larger) chunk here.
+    ///
+    /// ```
+    /// use parloop_core::{par_for_chunks, Schedule};
+    /// use parloop_runtime::ThreadPool;
+    /// use std::sync::atomic::{AtomicUsize, Ordering};
+    ///
+    /// let pool = ThreadPool::new(4);
+    /// // default_grain(16384, 4) would be 512; pin 64 instead.
+    /// let max_len = AtomicUsize::new(0);
+    /// par_for_chunks(&pool, 0..16384, Schedule::vanilla().with_grain(64), |chunk| {
+    ///     max_len.fetch_max(chunk.len(), Ordering::Relaxed);
+    /// });
+    /// // The largest chunk the splitter hands out is exactly the pin.
+    /// assert_eq!(max_len.load(Ordering::Relaxed), 64);
+    /// ```
+    pub fn with_grain(self, grain: usize) -> Schedule {
+        let g = grain.max(1);
+        match self {
+            Schedule::DynamicStealing { .. } => Schedule::DynamicStealing { grain: Some(g) },
+            Schedule::Hybrid { oversub, .. } => Schedule::Hybrid { grain: Some(g), oversub },
+            Schedule::WorkSharing { .. } => Schedule::WorkSharing { chunk: g },
+            Schedule::Guided { .. } => Schedule::Guided { min_chunk: g },
+            Schedule::StaticCyclic { .. } => Schedule::StaticCyclic { chunk: g },
+            keep @ (Schedule::Static | Schedule::StaticSharing) => keep,
+        }
+    }
+
     /// Short name used in tables and plots.
     pub fn name(&self) -> &'static str {
         match self {
@@ -159,6 +199,234 @@ impl std::str::FromStr for Schedule {
     }
 }
 
+/// How a loop's grain (and, for the hybrid scheme, its oversubscription
+/// factor `R`) is chosen — a [`Loop`] knob beside the schedule and the
+/// runtime's `StealPolicy`.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum GrainPolicy<'a> {
+    /// The schedule's own grain: an explicit pin if the [`Schedule`]
+    /// carries one, else the static Cilk rule ([`default_grain`]).
+    #[default]
+    Static,
+    /// Feedback-driven: the [`AdaptiveSite`] supplies the grain/R before
+    /// the loop and ingests its signals afterwards (see [`crate::adapt`]).
+    Adaptive(&'a AdaptiveSite),
+}
+
+/// One parallel loop, fully specified: the schedule plus every knob that
+/// composes with it. Build with [`Loop::new`] and set fields with struct
+/// update syntax; [`Loop::run`] is the single dispatch path every entry
+/// point of this crate goes through.
+///
+/// ```
+/// use parloop_core::{Loop, Schedule};
+/// use parloop_runtime::{CancelToken, ThreadPool};
+///
+/// let (pool, cancel) = (ThreadPool::new(2), CancelToken::new());
+/// let spec = Loop { cancel: Some(&cancel), ..Loop::new(Schedule::omp_dynamic(64)) };
+/// let r = spec.run(&pool, 0..4096, |_| cancel.cancel());
+/// assert!(r.is_err(), "chunks claimed after the token fired were skipped");
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Loop<'a> {
+    /// The scheduling policy.
+    pub schedule: Schedule,
+    /// Where the grain (and the hybrid `R`) comes from.
+    pub grain: GrainPolicy<'a>,
+    /// Cooperative cancellation: once the token fires, no further chunk
+    /// body (and, under [`Schedule::Hybrid`], no further partition) starts.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl<'a> Loop<'a> {
+    /// `schedule` with the static grain rule and no cancel token — what
+    /// [`par_for_chunks`] runs.
+    pub fn new(schedule: Schedule) -> Loop<'a> {
+        Loop { schedule, grain: GrainPolicy::Static, cancel: None }
+    }
+
+    /// Execute `body(chunk)` over scheduler-chosen chunks of `range` on
+    /// `pool`, blocking until the loop resolves. Chunks are non-empty,
+    /// disjoint and inside `range`.
+    ///
+    /// Returns the loop's scheduling counters. `partitions`, `adoptions`,
+    /// `failed_claims` and `skipped_partitions` are hybrid-only and read 0
+    /// under every other schedule; `assist_joins` counts the lazy
+    /// splitter's assistants under [`Schedule::DynamicStealing`] too.
+    ///
+    /// * `Err(HybridError::Cancelled)` if and only if the token fired and
+    ///   some chunk or partition was skipped because of it. A token that
+    ///   fires after the last body started still yields `Ok`, and a token
+    ///   that fired before the call runs no body at all. Chunks that
+    ///   started are never rolled back: everything that ran, ran exactly
+    ///   once.
+    /// * `Err(HybridError::Panicked)` carries the first panic payload of a
+    ///   body (or an injected fault), on every schedule.
+    ///
+    /// Under [`GrainPolicy::Adaptive`] the site's operating point
+    /// overrides the schedule's grain (and, for [`Schedule::Hybrid`], its
+    /// `oversub`). A measured loop that completes feeds its wall time and
+    /// contention counters back through [`AdaptiveSite::record`], gated by
+    /// the `Site::GrainAdjust` chaos site (an injected `Fail` drops the
+    /// sample, a `Delay` stalls the recording thread — user iterations are
+    /// never at risk). A cancelled or panicked loop records no sample.
+    /// Accepted adjustments are counted in `PoolStats::grain_adjustments`
+    /// and emitted as `TraceEvent::GrainAdjusted` events.
+    pub fn run<F>(
+        &self,
+        pool: &ThreadPool,
+        range: Range<usize>,
+        body: F,
+    ) -> Result<HybridStats, HybridError>
+    where
+        F: Fn(Range<usize>) + Sync,
+    {
+        let n = range.len();
+        let mut sched = self.schedule;
+        let adaptive = match self.grain {
+            GrainPolicy::Adaptive(site) if n > 0 => {
+                let start = site.begin(n, pool.num_workers());
+                sched = match sched.with_grain(start.grain) {
+                    Schedule::Hybrid { grain, .. } => {
+                        Schedule::Hybrid { grain, oversub: start.oversub }
+                    }
+                    other => other,
+                };
+                // Timestamps only on measured loops: in the settled steady
+                // state 15 of 16 loops skip both `Instant::now` calls.
+                start.measure.then(|| (site, start, Instant::now()))
+            }
+            _ => None,
+        };
+        let result = match self.cancel {
+            None => dispatch(pool, range, sched, None, &body),
+            Some(cancel) => {
+                // The gate every schedule shares: a chunk claimed after the
+                // token fired is skipped, and the skip is what makes the
+                // loop `Cancelled`. The flag is read after the loop
+                // resolved, which orders every participant's store.
+                let skipped = AtomicBool::new(false);
+                let gated = |chunk: Range<usize>| {
+                    if cancel.is_cancelled() {
+                        skipped.store(true, Ordering::Relaxed);
+                    } else {
+                        body(chunk);
+                    }
+                };
+                match dispatch(pool, range, sched, Some(cancel), &gated) {
+                    Ok(stats) if skipped.load(Ordering::Relaxed) => {
+                        Err(HybridError::Cancelled(stats))
+                    }
+                    other => other,
+                }
+            }
+        };
+        if let (Ok(stats), Some((site, start, t0))) = (&result, adaptive) {
+            record_sample(pool, site, &start, n, t0, stats);
+        }
+        result
+    }
+}
+
+/// Run one loop under a resolved schedule. Panics come back as
+/// `HybridError::Panicked`: the hybrid engine reports them itself, the
+/// team and splitter engines re-raise on this thread and are caught here.
+fn dispatch<F>(
+    pool: &ThreadPool,
+    range: Range<usize>,
+    sched: Schedule,
+    cancel: Option<&CancelToken>,
+    body: &F,
+) -> Result<HybridStats, HybridError>
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    // The Cilk default grain is derived from the *pool's* worker count
+    // (`min(2048, N/8P)`), never the host's CPU count — the docs and the
+    // grain-pinning test below rely on exactly this wiring.
+    let n = range.len();
+    let grain_or_default =
+        |grain: Option<usize>| grain.unwrap_or_else(|| default_grain(n, pool.num_workers()));
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let mut stats = HybridStats::default();
+        match sched {
+            Schedule::Static => static_for(pool, range, body),
+            Schedule::StaticCyclic { chunk } => static_cyclic_for(pool, range, chunk, body),
+            Schedule::StaticSharing => static_sharing_for(pool, range, body),
+            Schedule::WorkSharing { chunk } => {
+                sharing_for(pool, range, SharingPolicy::Fixed(chunk), body)
+            }
+            Schedule::Guided { min_chunk } => {
+                sharing_for(pool, range, SharingPolicy::Guided { min_chunk }, body)
+            }
+            Schedule::DynamicStealing { grain } => {
+                let grain = grain_or_default(grain);
+                stats.assist_joins = pool.install(|| lazy_for_chunks(range, grain, body));
+            }
+            Schedule::Hybrid { grain, oversub } => {
+                let grain = grain_or_default(grain);
+                return pool.install(|| {
+                    let token = WorkerToken::current().expect("install puts us on a worker");
+                    hybrid_for(token, range, grain, oversub, cancel, body)
+                });
+            }
+        }
+        Ok(stats)
+    }));
+    ran.unwrap_or_else(|payload| {
+        Err(HybridError::Panicked { stats: HybridStats::default(), payload })
+    })
+}
+
+/// Feed one completed, measured loop to its adaptive site.
+fn record_sample(
+    pool: &ThreadPool,
+    site: &AdaptiveSite,
+    start: &LoopStart,
+    n: usize,
+    t0: Instant,
+    stats: &HybridStats,
+) {
+    let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    // Chaos: perturb the *controller*, never the loop. `Fail` drops this
+    // sample on the floor (convergence must survive missing
+    // observations); `Delay` stalls the recording thread so concurrent
+    // loops race their CAS. Panic/Kill are already demoted to Fail by
+    // the external-decision path.
+    match pool.chaos_decide_external(Site::GrainAdjust) {
+        FaultAction::Fail | FaultAction::Panic | FaultAction::Kill => return,
+        FaultAction::Delay(spins) => chaos_spin(spins),
+        FaultAction::None => {}
+    }
+    let sig = LoopSignals {
+        n,
+        workers: pool.num_workers(),
+        wall_ns,
+        assist_joins: stats.assist_joins,
+        failed_claims: stats.failed_claims,
+        // Non-hybrid schemes report no partitions; R = 1 disables the
+        // controller's R guard for them.
+        r_parts: stats.partitions.max(1),
+    };
+    if let Some(adj) = site.record(start, &sig) {
+        pool.note_grain_adjustment();
+        pool.trace_external(TraceEvent::GrainAdjusted {
+            site: site.id(),
+            grain: u32::try_from(adj.grain).unwrap_or(u32::MAX),
+            r: u32::try_from(adj.oversub).unwrap_or(u32::MAX),
+        });
+    }
+}
+
+/// The infallible entry points' view of a loop result: a panic resumes on
+/// the caller. (They pass no token, so `Cancelled` cannot occur.)
+fn stats_or_resume(result: Result<HybridStats, HybridError>) -> HybridStats {
+    match result {
+        Ok(stats) | Err(HybridError::Cancelled(stats)) => stats,
+        Err(HybridError::Panicked { payload, .. }) => resume_unwind(payload),
+    }
+}
+
 /// Execute `body(i)` for each `i` in `range` under `sched` on `pool`,
 /// blocking until the loop completes. Panics in `body` are re-thrown.
 ///
@@ -186,8 +454,8 @@ where
 }
 
 /// Execute `body(chunk)` for each scheduler-chosen chunk of `range` under
-/// `sched` on `pool`. This is the primitive the per-index [`par_for`] is
-/// built on: the body is monomorphized through every scheduler, so a
+/// `sched` on `pool` — [`Loop::new`]`(sched).run(..)` with panics
+/// re-thrown. The body is monomorphized through every scheduler, so a
 /// regular chunk body compiles to a tight loop with no per-iteration
 /// dispatch. Chunks are non-empty, disjoint, and tile `range`.
 ///
@@ -208,231 +476,7 @@ pub fn par_for_chunks<F>(pool: &ThreadPool, range: Range<usize>, sched: Schedule
 where
     F: Fn(Range<usize>) + Sync,
 {
-    par_for_chunks_policy(pool, range, sched, SplitPolicy::default(), body);
-}
-
-/// [`par_for_chunks`] with an explicit [`SplitPolicy`] for the
-/// work-stealing inner engine. Only [`Schedule::DynamicStealing`] and
-/// [`Schedule::Hybrid`] consult the policy (they are the schemes built on
-/// the stealable splitter); the shared-cursor and static schemes ignore
-/// it. This is the A/B entry point `split_bench` drives.
-pub fn par_for_chunks_policy<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    policy: SplitPolicy,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    let n = range.len();
-    // The Cilk default grain is derived from the *pool's* worker count
-    // (`min(2048, N/8P)`), never the host's CPU count — the docs and the
-    // grain-pinning test below rely on exactly this wiring.
-    let p = pool.num_workers();
-    match sched {
-        Schedule::Static => static_for(pool, range, &body),
-        Schedule::StaticCyclic { chunk } => {
-            crate::static_part::static_cyclic_for(pool, range, chunk, &body)
-        }
-        Schedule::StaticSharing => static_sharing_for(pool, range, &body),
-        Schedule::WorkSharing { chunk } => {
-            sharing_for(pool, range, SharingPolicy::Fixed(chunk), &body)
-        }
-        Schedule::Guided { min_chunk } => {
-            sharing_for(pool, range, SharingPolicy::Guided { min_chunk }, &body)
-        }
-        Schedule::DynamicStealing { grain } => {
-            let grain = grain.unwrap_or_else(|| default_grain(n, p));
-            pool.install(|| ws_for_chunks_policy(range, grain, policy, &body));
-        }
-        Schedule::Hybrid { grain, oversub } => {
-            let grain = grain.unwrap_or_else(|| default_grain(n, p));
-            pool.install(|| {
-                let token = WorkerToken::current().expect("install puts us on a worker");
-                hybrid_for_oversub_policy(token, range, grain, oversub, policy, &body);
-            });
-        }
-    }
-}
-
-/// How a loop's grain (and, for the hybrid scheme, its oversubscription
-/// factor `R`) is chosen — the third policy knob after [`SplitPolicy`]
-/// and the runtime's `StealPolicy`.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum GrainPolicy<'a> {
-    /// The schedule's own grain: an explicit pin if the [`Schedule`]
-    /// carries one, else the static Cilk rule ([`default_grain`]).
-    #[default]
-    Static,
-    /// Feedback-driven: the [`AdaptiveSite`] supplies the grain/R before
-    /// the loop and ingests its signals afterwards (see [`crate::adapt`]).
-    Adaptive(&'a AdaptiveSite),
-}
-
-/// [`par_for_chunks_policy`] with an explicit [`GrainPolicy`] — the entry
-/// point for the adaptive grain controller, mirroring how the
-/// [`SplitPolicy`] A/B knob was introduced.
-///
-/// Under [`GrainPolicy::Static`] this is exactly
-/// [`par_for_chunks_policy`]. Under [`GrainPolicy::Adaptive`] the site's
-/// current operating point overrides the schedule's grain (and, for
-/// [`Schedule::Hybrid`], its `oversub`); on measured loops the wall time
-/// and the engine's per-loop contention counters are fed back through
-/// [`AdaptiveSite::record`], gated by the `Site::GrainAdjust` chaos site
-/// (an injected `Fail` drops the sample, a `Delay` stalls the recording
-/// thread — user iterations are never at risk). Accepted adjustments are
-/// counted in `PoolStats::grain_adjustments` and emitted as
-/// `TraceEvent::GrainAdjusted` events.
-pub fn par_for_chunks_grain_policy<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    split: SplitPolicy,
-    grain: GrainPolicy<'_>,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    match grain {
-        GrainPolicy::Static => par_for_chunks_policy(pool, range, sched, split, body),
-        GrainPolicy::Adaptive(site) => adaptive_for_chunks(pool, range, sched, split, site, &body),
-    }
-}
-
-/// The adaptive execution path: snapshot the site, run the loop under its
-/// operating point, feed the signals back.
-fn adaptive_for_chunks<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    split: SplitPolicy,
-    site: &AdaptiveSite,
-    body: &F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    let n = range.len();
-    if n == 0 {
-        return;
-    }
-    let p = pool.num_workers();
-    let start = site.begin(n, p);
-    // Timestamps only on measured loops: in the settled steady state 15
-    // of 16 loops skip both `Instant::now` calls entirely.
-    let t0 = start.measure.then(Instant::now);
-    let (assist_joins, failed_claims, r_parts) = match sched {
-        Schedule::DynamicStealing { .. } => {
-            let assists =
-                pool.install(|| ws_for_chunks_policy_counted(range, start.grain, split, body));
-            (assists, 0, 1)
-        }
-        Schedule::Hybrid { .. } => {
-            let stats = pool.install(|| {
-                let token = WorkerToken::current().expect("install puts us on a worker");
-                hybrid_for_oversub_policy(token, range, start.grain, start.oversub, split, body)
-            });
-            (stats.assist_joins, stats.failed_claims, stats.partitions)
-        }
-        // The shared-cursor and static schemes take the grain as their
-        // chunk knob; they have no assist/claim machinery to observe, so
-        // only wall time drives their controller.
-        other => {
-            par_for_chunks_with_grain(pool, range, other, start.grain, body);
-            (0, 0, 1)
-        }
-    };
-    let Some(t0) = t0 else { return };
-    let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    // Chaos: perturb the *controller*, never the loop. `Fail` drops this
-    // sample on the floor (convergence must survive missing
-    // observations); `Delay` stalls the recording thread so concurrent
-    // loops race their CAS. Panic/Kill are already demoted to Fail by
-    // the external-decision path.
-    match pool.chaos_decide_external(Site::GrainAdjust) {
-        FaultAction::Fail | FaultAction::Panic | FaultAction::Kill => return,
-        FaultAction::Delay(spins) => chaos_spin(spins),
-        FaultAction::None => {}
-    }
-    let sig = LoopSignals { n, workers: p, wall_ns, assist_joins, failed_claims, r_parts };
-    if let Some(adj) = site.record(&start, &sig) {
-        pool.note_grain_adjustment();
-        pool.trace_external(TraceEvent::GrainAdjusted {
-            site: site.id(),
-            grain: u32::try_from(adj.grain).unwrap_or(u32::MAX),
-            r: u32::try_from(adj.oversub).unwrap_or(u32::MAX),
-        });
-    }
-}
-
-/// [`par_for_chunks`] with an explicit grain hint, overriding the derived
-/// `min(2048, N/8P)` default. `default_grain` only sees the iteration
-/// *count*, never the body's weight — a caller that knows each iteration
-/// is heavy (or trivially light) can hint a smaller (or larger) chunk
-/// here. Groundwork for the adaptive grain controller (ROADMAP item 3).
-///
-/// The hint maps onto each scheme's own granularity knob: the splitter
-/// grain for [`Schedule::DynamicStealing`] / [`Schedule::Hybrid`], the
-/// fixed chunk for [`Schedule::WorkSharing`] / [`Schedule::StaticCyclic`],
-/// and the minimum chunk for [`Schedule::Guided`]. The block-partitioned
-/// schemes ([`Schedule::Static`], [`Schedule::StaticSharing`]) have no
-/// chunk parameter and ignore it. A hint of `0` is clamped to `1`.
-///
-/// ```
-/// use parloop_core::{par_for_chunks_with_grain, Schedule};
-/// use parloop_runtime::ThreadPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let pool = ThreadPool::new(4);
-/// // default_grain(16384, 4) would be 512; hint 64 instead.
-/// let max_len = AtomicUsize::new(0);
-/// let total = AtomicUsize::new(0);
-/// par_for_chunks_with_grain(&pool, 0..16384, Schedule::vanilla(), 64, |chunk| {
-///     max_len.fetch_max(chunk.len(), Ordering::Relaxed);
-///     total.fetch_add(chunk.len(), Ordering::Relaxed);
-/// });
-/// assert_eq!(total.load(Ordering::Relaxed), 16384);
-/// // The largest chunk the splitter hands out is exactly the hint.
-/// assert_eq!(max_len.load(Ordering::Relaxed), 64);
-/// ```
-pub fn par_for_chunks_with_grain<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    grain_hint: usize,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    let hint = grain_hint.max(1);
-    let sched = match sched {
-        Schedule::DynamicStealing { .. } => Schedule::DynamicStealing { grain: Some(hint) },
-        Schedule::Hybrid { oversub, .. } => Schedule::Hybrid { grain: Some(hint), oversub },
-        Schedule::WorkSharing { .. } => Schedule::WorkSharing { chunk: hint },
-        Schedule::Guided { .. } => Schedule::Guided { min_chunk: hint },
-        Schedule::StaticCyclic { .. } => Schedule::StaticCyclic { chunk: hint },
-        // Block-partitioned schemes have no chunk knob; the hint is moot.
-        keep @ (Schedule::Static | Schedule::StaticSharing) => keep,
-    };
-    par_for_chunks(pool, range, sched, body);
-}
-
-/// Dyn-compatible [`par_for`]: the body is a trait object, so every
-/// iteration pays one virtual call. Decomposes `range` into exactly the
-/// same chunks as the generic path (it runs through [`par_for_chunks`]),
-/// which makes it the baseline the overhead harness compares against and
-/// keeps worker↔iteration placement identical to [`par_for`].
-pub fn par_for_dyn(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    body: &(dyn Fn(usize) + Sync),
-) {
-    par_for_chunks(pool, range, sched, move |chunk: Range<usize>| {
-        for i in chunk {
-            body(i);
-        }
-    });
+    stats_or_resume(Loop::new(sched).run(pool, range, body));
 }
 
 /// Like [`par_for`], but records which worker executed each iteration into
@@ -459,87 +503,8 @@ pub fn par_for_tracked<F>(
     });
 }
 
-/// Cancellable [`par_for_chunks`]: stops scheduling new chunk bodies once
-/// `cancel` fires and returns `Err(Cancelled)`.
-///
-/// Chunks whose body already started (or finished) before the token was
-/// observed are *not* rolled back — exactly-once execution is preserved
-/// for everything that ran; cancellation only prevents *future* bodies.
-/// Under [`Schedule::Hybrid`] this is the deep integration (cancelled
-/// walkers drain the claim table so the loop's latch still resolves); the
-/// other schedules gate each chunk on the token cooperatively. Panics in
-/// the body are re-thrown, exactly as in [`par_for_chunks`].
-pub fn try_par_for_chunks<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    cancel: &CancelToken,
-    body: F,
-) -> Result<(), Cancelled>
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if cancel.is_cancelled() {
-        return Err(Cancelled);
-    }
-    match sched {
-        Schedule::Hybrid { grain, oversub } => {
-            let n = range.len();
-            let p = pool.num_workers();
-            let grain = grain.unwrap_or_else(|| default_grain(n, p));
-            let res = pool.install(|| {
-                let token = WorkerToken::current().expect("install puts us on a worker");
-                try_hybrid_for_oversub(token, range, grain, oversub, cancel, &body)
-            });
-            match res {
-                Ok(_) => Ok(()),
-                Err(HybridError::Cancelled(_)) => Err(Cancelled),
-                Err(HybridError::Panicked { payload, .. }) => resume_unwind(payload),
-            }
-        }
-        other => {
-            par_for_chunks(pool, range, other, |chunk: Range<usize>| {
-                if !cancel.is_cancelled() {
-                    body(chunk);
-                }
-            });
-            if cancel.is_cancelled() {
-                Err(Cancelled)
-            } else {
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Cancellable, fallible hybrid loop: like [`hybrid_for_with_stats`] but
-/// panics come back as [`HybridError::Panicked`] (payload included) and a
-/// fired `cancel` token yields [`HybridError::Cancelled`] — both carrying
-/// the scheduling counters, so skipped partitions stay observable.
-pub fn try_hybrid_for<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    grain: Option<usize>,
-    cancel: &CancelToken,
-    body: F,
-) -> Result<HybridStats, HybridError>
-where
-    F: Fn(usize) + Sync,
-{
-    let n = range.len();
-    let p = pool.num_workers();
-    let grain = grain.unwrap_or_else(|| default_grain(n, p));
-    pool.install(|| {
-        let token = WorkerToken::current().expect("install puts us on a worker");
-        try_hybrid_for_oversub(token, range, grain, 1, cancel, &|chunk: Range<usize>| {
-            for i in chunk {
-                body(i);
-            }
-        })
-    })
-}
-
-/// Run a hybrid loop and return its scheduling counters (tests, benches).
+/// Run a hybrid loop (`R = next_pow2(P)`) and return its scheduling
+/// counters (tests, benches). Panics in `body` are re-thrown.
 pub fn hybrid_for_with_stats<F>(
     pool: &ThreadPool,
     range: Range<usize>,
@@ -549,17 +514,12 @@ pub fn hybrid_for_with_stats<F>(
 where
     F: Fn(usize) + Sync,
 {
-    let n = range.len();
-    let p = pool.num_workers();
-    let grain = grain.unwrap_or_else(|| default_grain(n, p));
-    pool.install(|| {
-        let token = WorkerToken::current().expect("install puts us on a worker");
-        hybrid_for(token, range, grain, &|chunk: Range<usize>| {
-            for i in chunk {
-                body(i);
-            }
-        })
-    })
+    let spec = Loop::new(Schedule::Hybrid { grain, oversub: 1 });
+    stats_or_resume(spec.run(pool, range, |chunk: Range<usize>| {
+        for i in chunk {
+            body(i);
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -659,55 +619,66 @@ mod tests {
     }
 
     #[test]
-    fn try_apis_complete_when_token_never_fires() {
+    fn loop_spec_completes_when_token_never_fires() {
         let n = 500;
         let pool = ThreadPool::new(3);
         for sched in all_schedules(n, 3) {
             let cancel = CancelToken::new();
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            try_par_for_chunks(&pool, 0..n, sched, &cancel, |chunk| {
-                for i in chunk {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .unwrap_or_else(|_| panic!("{}: spuriously cancelled", sched.name()));
+            let spec = Loop { cancel: Some(&cancel), ..Loop::new(sched) };
+            let stats = spec
+                .run(&pool, 0..n, |chunk| {
+                    for i in chunk {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+                .unwrap_or_else(|_| panic!("{}: spuriously cancelled", sched.name()));
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "{}: not exactly-once",
                 sched.name()
             );
+            assert_eq!(stats.skipped_partitions, 0, "{}", sched.name());
+            let r_parts = if sched.name() == "hybrid" { 4 } else { 0 };
+            assert_eq!(stats.partitions, r_parts, "{}: hybrid-only field", sched.name());
         }
-        let cancel = CancelToken::new();
-        let stats = try_hybrid_for(&pool, 0..n, None, &cancel, |_| {}).unwrap();
-        assert_eq!(stats.partitions, 4);
-        assert_eq!(stats.skipped_partitions, 0);
     }
 
     #[test]
-    fn try_apis_reject_a_pre_fired_token() {
+    fn loop_spec_rejects_a_pre_fired_token() {
         let pool = ThreadPool::new(2);
         let cancel = CancelToken::new();
         cancel.cancel();
         let ran = AtomicUsize::new(0);
         for sched in all_schedules(100, 2) {
-            let r = try_par_for_chunks(&pool, 0..100, sched, &cancel, |_| {
+            let spec = Loop { cancel: Some(&cancel), ..Loop::new(sched) };
+            let r = spec.run(&pool, 0..100, |_| {
                 ran.fetch_add(1, Ordering::Relaxed);
             });
-            assert!(r.is_err(), "{}: must observe the fired token", sched.name());
+            match r {
+                Err(HybridError::Cancelled(stats)) => {
+                    assert_eq!(stats.skipped_partitions, stats.partitions, "{}", sched.name());
+                }
+                other => panic!("{}: expected Cancelled, got {other:?}", sched.name()),
+            }
         }
         assert_eq!(ran.load(Ordering::Relaxed), 0, "no body may run after cancellation");
+    }
 
-        let err = try_hybrid_for(&pool, 0..100, None, &cancel, |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        })
-        .expect_err("pre-fired token must cancel the hybrid loop");
-        match err {
-            HybridError::Cancelled(stats) => {
-                assert_eq!(stats.skipped_partitions, stats.partitions);
+    #[test]
+    fn loop_spec_reports_panics_on_every_schedule() {
+        let pool = ThreadPool::new(2);
+        for sched in all_schedules(100, 2) {
+            match Loop::new(sched).run(&pool, 0..100, |chunk| assert!(!chunk.contains(&42))) {
+                Err(HybridError::Panicked { .. }) => {}
+                other => panic!("{}: expected Panicked, got {other:?}", sched.name()),
             }
-            other => panic!("expected Cancelled, got {other:?}"),
         }
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        let sum = AtomicUsize::new(0);
+        par_for(&pool, 0..10, Schedule::omp_static(), |i| {
+            sum.fetch_add(i, Ordering::Relaxed);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 45, "pool reusable after panics");
     }
 
     #[test]
@@ -721,31 +692,22 @@ mod tests {
         assert_eq!(default_grain(n, p), 512);
 
         let pool = ThreadPool::new(p);
-        for policy in [SplitPolicy::Lazy, SplitPolicy::Eager] {
-            let max_len = std::sync::atomic::AtomicUsize::new(0);
-            let total = AtomicUsize::new(0);
-            par_for_chunks_policy(
-                &pool,
-                0..n,
-                Schedule::DynamicStealing { grain: None },
-                policy,
-                |chunk| {
-                    max_len.fetch_max(chunk.len(), Ordering::Relaxed);
-                    total.fetch_add(chunk.len(), Ordering::Relaxed);
-                },
-            );
-            assert_eq!(total.load(Ordering::Relaxed), n, "{}", policy.name());
-            assert_eq!(
-                max_len.load(Ordering::Relaxed),
-                512,
-                "{}: observed grain disagrees with default_grain(n, pool.num_workers())",
-                policy.name()
-            );
-        }
+        let max_len = AtomicUsize::new(0);
+        let total = AtomicUsize::new(0);
+        par_for_chunks(&pool, 0..n, Schedule::DynamicStealing { grain: None }, |chunk| {
+            max_len.fetch_max(chunk.len(), Ordering::Relaxed);
+            total.fetch_add(chunk.len(), Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), n);
+        assert_eq!(
+            max_len.load(Ordering::Relaxed),
+            512,
+            "observed grain disagrees with default_grain(n, pool.num_workers())"
+        );
     }
 
     #[test]
-    fn grain_hint_overrides_every_chunked_scheme() {
+    fn with_grain_overrides_every_chunked_scheme() {
         let (n, p) = (4096usize, 2usize);
         let pool = ThreadPool::new(p);
         for sched in [
@@ -756,20 +718,27 @@ mod tests {
         ] {
             let max_len = AtomicUsize::new(0);
             let total = AtomicUsize::new(0);
-            par_for_chunks_with_grain(&pool, 0..n, sched, 32, |chunk| {
+            par_for_chunks(&pool, 0..n, sched.with_grain(32), |chunk| {
                 max_len.fetch_max(chunk.len(), Ordering::Relaxed);
                 total.fetch_add(chunk.len(), Ordering::Relaxed);
             });
             assert_eq!(total.load(Ordering::Relaxed), n, "{}", sched.name());
             assert!(
                 max_len.load(Ordering::Relaxed) <= 32,
-                "{}: chunk exceeded the 32-iteration hint",
+                "{}: chunk exceeded the 32-iteration pin",
                 sched.name()
             );
         }
-        // Zero clamps to 1 rather than panicking or hanging.
+        // Zero clamps to 1 rather than panicking or hanging; block schemes
+        // have no chunk knob.
+        assert_eq!(Schedule::vanilla().with_grain(0), Schedule::DynamicStealing { grain: Some(1) });
+        assert_eq!(Schedule::omp_static().with_grain(8), Schedule::omp_static());
+        assert_eq!(
+            Schedule::hybrid_oversub(4).with_grain(8),
+            Schedule::Hybrid { grain: Some(8), oversub: 4 }
+        );
         let total = AtomicUsize::new(0);
-        par_for_chunks_with_grain(&pool, 0..17, Schedule::vanilla(), 0, |chunk| {
+        par_for_chunks(&pool, 0..17, Schedule::vanilla().with_grain(0), |chunk| {
             total.fetch_add(chunk.len(), Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 17);

@@ -6,8 +6,9 @@
 //! region, and each worker repeatedly grabs the next chunk until the
 //! cursor passes the end:
 //!
-//! * **dynamic** — fixed-size chunks via `fetch_add` (omp `schedule(dynamic,
-//!   chunk)`; FastFlow's dynamic mode is the same engine);
+//! * **dynamic** — fixed-size chunks via `fetch_add` on a chunk counter
+//!   (omp `schedule(dynamic, chunk)`; FastFlow's dynamic mode is the same
+//!   engine);
 //! * **guided** — decreasing chunks `max(remaining / P, min_chunk)` via a
 //!   CAS loop (omp `schedule(guided, min_chunk)`);
 //! * **static-sharing** — `P` fixed blocks of `⌈N/P⌉` claimed through the
@@ -45,19 +46,29 @@ pub(crate) fn sharing_for<F>(
     if range.is_empty() {
         return;
     }
-    let end = range.end;
+    let (start, end) = (range.start, range.end);
     let team = pool.num_workers();
-    let cursor = AtomicUsize::new(range.start);
+    // Fixed chunks are claimed by *index* (chunk `c` covers
+    // `start + c·chunk ..`), so the cursor advances by one per claim and
+    // the bounds below never overflow, even for ranges ending at
+    // `usize::MAX`. The index ends at most `team` past the chunk count;
+    // wrapping it would take more than `usize::MAX - P` claims. Guided
+    // claims move the cursor through the range itself.
+    let cursor = AtomicUsize::new(match policy {
+        SharingPolicy::Fixed(_) => 0,
+        SharingPolicy::Guided { .. } => start,
+    });
 
     pool.broadcast_all(|_w| loop {
         let (lo, hi) = match policy {
             SharingPolicy::Fixed(chunk) => {
                 let chunk = chunk.max(1);
-                let lo = cursor.fetch_add(chunk, Ordering::AcqRel);
-                if lo >= end {
+                let c = cursor.fetch_add(1, Ordering::AcqRel);
+                let Some(off) = c.checked_mul(chunk).filter(|&off| off < end - start) else {
                     break;
-                }
-                (lo, (lo + chunk).min(end))
+                };
+                let lo = start + off;
+                (lo, lo + chunk.min(end - lo))
             }
             SharingPolicy::Guided { min_chunk } => {
                 let min_chunk = min_chunk.max(1);

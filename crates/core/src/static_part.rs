@@ -58,9 +58,9 @@ where
         let mut c = w;
         while c < chunks {
             let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
+            let hi = lo + chunk.min(n - lo);
             body(start + lo..start + hi);
-            c += team;
+            c = c.saturating_add(team);
         }
     });
 }

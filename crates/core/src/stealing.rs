@@ -1,31 +1,21 @@
-//! Dynamic partitioning with work stealing — the `cilk_for` baseline
-//! ("vanilla" in the paper's plots) and the inner loop of every claimed
-//! hybrid partition.
+//! Eager divide-and-conquer splitting — the classic `cilk_for` engine.
 //!
-//! Two splitting engines share this entry point, selected by
-//! [`SplitPolicy`]:
+//! [`ws_for_chunks_eager`] recursively `join`s the two halves of the range
+//! until a chunk of at most `grain` iterations remains. With the Cilk
+//! default grain `min(2048, N/8P)` this yields span
+//! `Θ(lg N) + max_i T_∞(i)`, but every split level costs a deque
+//! round-trip even when zero steals occur. Loops run on the lazy splitter
+//! ([`crate::lazy`]) instead; this engine remains as the lazy splitter's
+//! fallback for ranges longer than `u32::MAX` iterations and as the
+//! baseline `split_bench` compares it against.
 //!
-//! * **Lazy** (the default, [`crate::lazy`]): the range sits behind one
-//!   packed atomic cursor with a single stealable assist handle; splits
-//!   happen only when a thief actually arrives, so a loop pays
-//!   `O(steals + 1)` deque pushes instead of `O(n/grain)`.
-//! * **Eager** ([`ws_for_chunks_eager`]): classic divide-and-conquer
-//!   binary spawning — recursively `join` the two halves of the range
-//!   until a chunk of at most `grain` iterations remains. With the Cilk
-//!   default grain `min(2048, N/8P)` this yields span
-//!   `Θ(lg N) + max_i T_∞(i)`, but every split level costs a deque
-//!   round-trip even when zero steals occur. Kept for A/B comparison.
-//!
-//! Both engines are generic over the body type, so the leaf chunk
-//! executes as a monomorphized loop the compiler can unroll and vectorize
-//! — no per-iteration virtual dispatch.
+//! The engine is generic over the body type, so the leaf chunk executes
+//! as a monomorphized loop the compiler can unroll and vectorize — no
+//! per-iteration virtual dispatch.
 
 use std::ops::Range;
 
 use parloop_runtime::{join, TraceEvent, WorkerToken};
-
-pub use crate::lazy::SplitPolicy;
-use crate::lazy::{lazy_for_chunks, lazy_for_chunks_counted};
 
 /// Run a leaf chunk of the eager splitter, bracketed with
 /// `ChunkStart`/`ChunkEnd` trace events when `tracing` is set. The flag is
@@ -51,54 +41,10 @@ where
     body(range);
 }
 
-/// Execute `body(chunk)` over `range`; sub-ranges above `grain` iterations
-/// are stealable, and each chunk handed to `body` has at most `grain`
-/// iterations. Uses the default [`SplitPolicy::Lazy`] engine.
-///
-/// Must run on a pool worker for actual parallelism; off-pool it degrades
-/// to a sequential call (serial elision).
-pub fn ws_for_chunks<F>(range: Range<usize>, grain: usize, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    lazy_for_chunks(range, grain, body);
-}
-
-/// [`ws_for_chunks`] with an explicit [`SplitPolicy`] (A/B harnesses).
-pub fn ws_for_chunks_policy<F>(range: Range<usize>, grain: usize, policy: SplitPolicy, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    match policy {
-        SplitPolicy::Lazy => lazy_for_chunks(range, grain, body),
-        SplitPolicy::Eager => ws_for_chunks_eager(range, grain, body),
-    }
-}
-
-/// [`ws_for_chunks_policy`] that also reports how many assistants joined
-/// this loop — the contention signal the adaptive grain controller feeds
-/// on. Only the lazy engine has assist handles; the eager engine's splits
-/// are plain joins, so it reports 0 (its contention shows up in the
-/// pool-global steal counters instead, which are not per-loop).
-pub fn ws_for_chunks_policy_counted<F>(
-    range: Range<usize>,
-    grain: usize,
-    policy: SplitPolicy,
-    body: &F,
-) -> usize
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    match policy {
-        SplitPolicy::Lazy => lazy_for_chunks_counted(range, grain, body),
-        SplitPolicy::Eager => {
-            ws_for_chunks_eager(range, grain, body);
-            0
-        }
-    }
-}
-
-/// Eager divide-and-conquer splitting: one `join` per split level.
+/// Eager divide-and-conquer splitting: one `join` per split level; each
+/// chunk handed to `body` has at most `grain` iterations. Must run on a
+/// pool worker for actual parallelism; off-pool it degrades to a
+/// sequential call (serial elision).
 pub fn ws_for_chunks_eager<F>(range: Range<usize>, grain: usize, body: &F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -127,109 +73,75 @@ where
     join(|| eager_split(lo, grain, tracing, body), || eager_split(hi, grain, tracing, body));
 }
 
-/// Execute `body(i)` for every `i` in `range`; sub-ranges above `grain`
-/// iterations are stealable.
-///
-/// Thin wrapper over [`ws_for_chunks`]: the leaf runs as a tight
-/// monomorphized `for` loop over the chunk.
-pub fn ws_for<F>(range: Range<usize>, grain: usize, body: &F)
-where
-    F: Fn(usize) + Sync,
-{
-    ws_for_chunks(range, grain, &|chunk: Range<usize>| {
-        for i in chunk {
-            body(i);
-        }
-    });
-}
-
-/// [`ws_for`] with an explicit [`SplitPolicy`] (A/B harnesses).
-pub fn ws_for_policy<F>(range: Range<usize>, grain: usize, policy: SplitPolicy, body: &F)
-where
-    F: Fn(usize) + Sync,
-{
-    ws_for_chunks_policy(range, grain, policy, &|chunk: Range<usize>| {
-        for i in chunk {
-            body(i);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lazy::lazy_for_chunks;
     use parloop_runtime::ThreadPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    const POLICIES: [SplitPolicy; 2] = [SplitPolicy::Lazy, SplitPolicy::Eager];
+    /// A splitting engine over a type-erased chunk body.
+    type Splitter = fn(Range<usize>, usize, &(dyn Fn(Range<usize>) + Sync));
 
-    #[test]
-    fn covers_every_iteration_exactly_once() {
-        for policy in POLICIES {
-            let pool = ThreadPool::new(4);
-            let n = 10_000;
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.install(|| {
-                ws_for_policy(0..n, 64, policy, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{}", policy.name());
-        }
+    /// Both splitting engines, for properties that hold for either.
+    fn engines() -> [(&'static str, Splitter); 2] {
+        [
+            ("lazy", |r, g, b| {
+                lazy_for_chunks(r, g, &b);
+            }),
+            ("eager", |r, g, b| ws_for_chunks_eager(r, g, &b)),
+        ]
     }
 
     #[test]
     fn chunks_cover_exactly_once_and_respect_grain() {
-        for policy in POLICIES {
+        for (name, split) in engines() {
             let pool = ThreadPool::new(4);
             let n = 10_000;
             let grain = 64;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             pool.install(|| {
-                ws_for_chunks_policy(0..n, grain, policy, &|chunk| {
+                split(0..n, grain, &|chunk| {
                     assert!(!chunk.is_empty() && chunk.len() <= grain);
                     for i in chunk {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }
                 });
             });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{}", policy.name());
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{name}");
         }
     }
 
     #[test]
     fn empty_range_is_noop() {
         let pool = ThreadPool::new(2);
-        for policy in POLICIES {
-            pool.install(|| ws_for_policy(5..5, 8, policy, &|_| panic!("no iterations expected")));
-            pool.install(|| {
-                ws_for_chunks_policy(5..5, 8, policy, &|_| panic!("no chunks expected"))
-            });
+        for (_, split) in engines() {
+            pool.install(|| split(5..5, 8, &|_| panic!("no chunks expected")));
         }
     }
 
     #[test]
     fn grain_zero_treated_as_one() {
         let pool = ThreadPool::new(2);
-        for policy in POLICIES {
+        for (name, split) in engines() {
             let count = AtomicUsize::new(0);
             pool.install(|| {
-                ws_for_policy(0..17, 0, policy, &|_| {
-                    count.fetch_add(1, Ordering::Relaxed);
+                split(0..17, 0, &|chunk| {
+                    count.fetch_add(chunk.len(), Ordering::Relaxed);
                 });
             });
-            assert_eq!(count.load(Ordering::Relaxed), 17, "{}", policy.name());
+            assert_eq!(count.load(Ordering::Relaxed), 17, "{name}");
         }
     }
 
     #[test]
     fn works_off_pool_sequentially() {
-        for policy in POLICIES {
+        for (name, split) in engines() {
             let count = AtomicUsize::new(0);
-            ws_for_policy(0..100, 10, policy, &|_| {
-                count.fetch_add(1, Ordering::Relaxed);
+            split(0..100, 10, &|chunk| {
+                count.fetch_add(chunk.len(), Ordering::Relaxed);
             });
-            assert_eq!(count.load(Ordering::Relaxed), 100, "{}", policy.name());
+            assert_eq!(count.load(Ordering::Relaxed), 100, "{name}");
         }
     }
 
@@ -240,18 +152,19 @@ mod tests {
         // eager pushes one job per split level (~n/grain).
         let pool = ThreadPool::new(1);
         let (n, grain) = (4096usize, 64usize);
-        let run = |policy: SplitPolicy| {
+        let pushes = |split: Splitter| {
             let before = pool.stats().jobs_pushed;
             pool.install(|| {
-                ws_for_chunks_policy(0..n, grain, policy, &|c| {
+                split(0..n, grain, &|c| {
                     std::hint::black_box(c.len());
                 })
             });
             pool.stats().jobs_pushed - before
         };
-        assert_eq!(run(SplitPolicy::Lazy), 0);
+        let [(_, lazy), (_, eager)] = engines();
+        assert_eq!(pushes(lazy), 0);
         assert!(
-            run(SplitPolicy::Eager) >= (n / grain) as u64 / 2,
+            pushes(eager) >= (n / grain) as u64 / 2,
             "eager splitting should push O(n/grain) jobs"
         );
     }

@@ -1,12 +1,13 @@
 //! Tenant handles: QoS class, fair-share weight, deadline, admission.
 
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parloop_chaos::{chaos_spin, FaultAction, Site};
-use parloop_core::{try_par_for_chunks, Schedule};
+use parloop_core::{HybridError, Loop, Schedule};
 use parloop_runtime::{CancelToken, QosClass, ThreadPool, TraceEvent, WorkerToken};
 
 use crate::global::global_pool;
@@ -510,21 +511,18 @@ impl Tenant {
         Err(err)
     }
 
-    /// A fresh cancellation token for one loop: a deadline token if the
-    /// tenant has a deadline (one code path with every other
-    /// `cancel_after` user), otherwise a plain never-firing token.
-    fn loop_token(&self) -> CancelToken {
-        match self.shared.deadline {
-            Some(d) => CancelToken::cancel_after(d),
-            None => CancelToken::new(),
-        }
+    /// A fresh deadline token for one loop (one code path with every other
+    /// `cancel_after` user), or `None` if the tenant has no deadline.
+    fn loop_token(&self) -> Option<CancelToken> {
+        self.shared.deadline.map(CancelToken::cancel_after)
     }
 
     /// Run a chunked parallel loop under this tenant's class, weight
-    /// window, and deadline. See
-    /// [`try_par_for_chunks`](parloop_core::try_par_for_chunks) for the
-    /// chunk semantics; on `Err` nothing leaks — admission slots are
-    /// released and every chunk that started ran exactly once.
+    /// window, and deadline. See [`Loop::run`] for the chunk and
+    /// cancellation semantics; `DeadlineExceeded` means the deadline
+    /// skipped some chunk. On `Err` nothing leaks — admission slots are
+    /// released and every chunk that started ran exactly once. Panics in
+    /// `body` are re-thrown.
     pub fn par_for_chunks<F>(
         &self,
         range: Range<usize>,
@@ -551,7 +549,11 @@ impl Tenant {
                     class: shared.class.as_u8(),
                 });
             }
-            let r = try_par_for_chunks(pool, range, sched, &cancel, &body);
+            let spec = Loop { cancel: cancel.as_ref(), ..Loop::new(sched) };
+            let r = match spec.run(pool, range, &body) {
+                Err(HybridError::Panicked { payload, .. }) => resume_unwind(payload),
+                r => r,
+            };
             if r.is_err() {
                 // Still on the worker: the deadline event must be traced
                 // here (trace sinks index per-worker rings; the submitter
@@ -563,7 +565,7 @@ impl Tenant {
             r
         });
         match result {
-            Ok(()) => Ok(()),
+            Ok(_) => Ok(()),
             Err(_cancelled) => {
                 shared.cancelled_by_deadline.fetch_add(1, Ordering::Relaxed);
                 Err(TenantError::DeadlineExceeded)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Perf-trajectory harness: run the split-policy, multi-tenant traffic,
+# Perf-trajectory harness: run the lazy-vs-eager splitter, multi-tenant traffic,
 # resilience, locality and adaptive-grain benchmarks in full mode and
 # emit the stable top-level BENCH_parloop.json (flat {name, value, unit}
 # entries — ns/iter for the micro kernel under lazy vs eager splitting,

@@ -74,6 +74,12 @@ cargo build --release --offline --workspace
 echo "== cargo test -q =="
 cargo test -q --offline --workspace
 
+# The end-to-end benchmark is its own cargo workspace, so the build above
+# never compiles it: a removed public name it uses would break it
+# silently. Build it and run its unit tests against the current crates.
+echo "== perfbench tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$QUICK" -eq 0 ]; then
   # Chaos stress: a reduced seed sweep of the fault-injection layer on top
   # of the default run already included in the workspace tests above.
@@ -88,7 +94,7 @@ if [ "$QUICK" -eq 0 ]; then
   test -s results/inject_latency.json \
     || { echo "verify.sh: results/inject_latency.json missing or empty" >&2; exit 1; }
 
-  # Split-policy acceptance: the lazy splitter's deque-push bound
+  # Splitter acceptance: the lazy splitter's deque-push bound
   # (pushes per loop <= steals + 1, a counting identity over PoolStats —
   # host-core-count independent, so it is enforced even on a 1-CPU box).
   # Exits non-zero when the bound is missed and writes

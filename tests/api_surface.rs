@@ -23,6 +23,22 @@ fn facade_reexports_are_usable() {
     let (a, b) = pool.install(|| parloop::join(|| 1, || 2));
     assert_eq!(a + b, 3);
 
+    // The one loop dispatcher and its knobs. Stats come back for every
+    // schedule; the hybrid-only counters read 0 elsewhere.
+    let cancel = parloop::CancelToken::new();
+    let spec = parloop::Loop {
+        grain: parloop::GrainPolicy::Static,
+        cancel: Some(&cancel),
+        ..parloop::Loop::new(parloop::Schedule::vanilla().with_grain(4))
+    };
+    let stats: parloop::HybridStats = spec
+        .run(&pool, 0..10, |chunk| {
+            hits.fetch_add(chunk.len(), Ordering::Relaxed);
+        })
+        .unwrap();
+    assert_eq!(hits.load(Ordering::Relaxed), 20);
+    assert_eq!(stats.partitions, 0);
+
     // The tenant-layer facade from the README (on an explicit pool, so
     // this test never touches the process-global registry).
     let pool = std::sync::Arc::new(parloop::ThreadPool::new(2));

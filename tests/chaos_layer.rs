@@ -10,7 +10,7 @@
 //! * **Panic safety** — a panic injected at *any* site leaves the pool
 //!   reusable.
 //! * **Off-path proof** — a disabled injector is never consulted.
-//! * **Cancellation** — `try_` loops observe a fired [`CancelToken`],
+//! * **Cancellation** — loops with a [`CancelToken`] observe it firing,
 //!   return `Err`, and preserve exactly-once for everything that ran.
 //! * **Watchdog** — a stalled pool produces a diagnostic, not a hang.
 //! * **Locality** — the topology-aware configuration (multi-socket map,
@@ -27,13 +27,29 @@ use std::time::Duration;
 
 use parloop::chaos::{FaultAction, FaultInjector, PlannedInjector, Site};
 use parloop::core::{
-    same_socket_fraction, same_worker_fraction, try_hybrid_for, try_par_for_chunks, AffinityProbe,
-    HybridError,
+    same_socket_fraction, same_worker_fraction, AffinityProbe, HybridError, HybridStats, Loop,
 };
 use parloop::runtime::{Latch, StealPolicy, TopologyMap, WorkerToken};
 use parloop::trace::metrics::max_claim_failure_run;
 use parloop::trace::{init_clock, RingTraceSink};
 use parloop::{par_for_tracked, CancelToken, Schedule, ThreadPool, ThreadPoolBuilder, TraceEvent};
+
+/// A cancellable hybrid loop (`R = next_pow2(P)`) with a per-index body,
+/// through the one loop dispatcher.
+fn try_hybrid(
+    pool: &ThreadPool,
+    range: std::ops::Range<usize>,
+    grain: Option<usize>,
+    cancel: &CancelToken,
+    body: impl Fn(usize) + Sync,
+) -> Result<HybridStats, HybridError> {
+    let spec = Loop { cancel: Some(cancel), ..Loop::new(Schedule::Hybrid { grain, oversub: 1 }) };
+    spec.run(pool, range, |chunk| {
+        for i in chunk {
+            body(i);
+        }
+    })
+}
 
 fn seed_count() -> u64 {
     std::env::var("CHAOS_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
@@ -63,7 +79,7 @@ fn exactly_once_and_lemma4_hold_across_seed_sweep() {
         let (pool, sink) = chaos_pool(p, Arc::clone(&injector));
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let cancel = CancelToken::new();
-        let stats = try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
+        let stats = try_hybrid(&pool, 0..n, Some(8), &cancel, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         })
         .unwrap_or_else(|e| panic!("seed {seed}: loop failed: {e:?}"));
@@ -120,7 +136,7 @@ fn injected_panic_at_every_site_leaves_pool_reusable() {
             let (pool, _sink) = chaos_pool(p, Arc::clone(&injector));
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let cancel = CancelToken::new();
-            let result = try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
+            let result = try_hybrid(&pool, 0..n, Some(8), &cancel, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             for (i, h) in hits.iter().enumerate() {
@@ -143,7 +159,7 @@ fn injected_panic_at_every_site_leaves_pool_reusable() {
             for _ in 0..4 {
                 let sum = AtomicUsize::new(0);
                 let clean = CancelToken::new();
-                match try_hybrid_for(&pool, 0..100, Some(4), &clean, |i| {
+                match try_hybrid(&pool, 0..100, Some(4), &clean, |i| {
                     sum.fetch_add(i, Ordering::Relaxed);
                 }) {
                     Ok(stats) => {
@@ -200,18 +216,16 @@ fn cancellation_mid_loop_returns_err_and_pool_stays_usable() {
     let cancel = CancelToken::new();
     let ran: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
     let c2 = cancel.clone();
-    let r = try_par_for_chunks(
-        &pool,
-        0..64,
-        Schedule::Hybrid { grain: Some(4), oversub: 4 },
-        &cancel,
-        |chunk| {
-            c2.cancel();
-            for i in chunk {
-                ran[i].fetch_add(1, Ordering::Relaxed);
-            }
-        },
-    );
+    let spec = Loop {
+        cancel: Some(&cancel),
+        ..Loop::new(Schedule::Hybrid { grain: Some(4), oversub: 4 })
+    };
+    let r = spec.run(&pool, 0..64, |chunk| {
+        c2.cancel();
+        for i in chunk {
+            ran[i].fetch_add(1, Ordering::Relaxed);
+        }
+    });
     assert!(r.is_err(), "token fired inside the first chunk must cancel the loop");
     let executed: usize = ran.iter().map(|h| h.load(Ordering::Relaxed)).sum();
     assert!(ran.iter().all(|h| h.load(Ordering::Relaxed) <= 1), "some iteration ran twice");
@@ -226,14 +240,14 @@ fn cancellation_mid_loop_returns_err_and_pool_stays_usable() {
     assert_eq!(sum.load(Ordering::Relaxed), 4950);
 }
 
-/// `try_hybrid_for` reports cancellation with stats: the drained
+/// A cancelled hybrid loop reports cancellation with stats: the drained
 /// partitions show up as `skipped_partitions`.
 #[test]
 fn cancelled_hybrid_reports_skipped_partitions() {
     let pool = ThreadPool::new(1);
     let cancel = CancelToken::new();
     cancel.cancel();
-    match try_hybrid_for(&pool, 0..128, Some(8), &cancel, |_| {}) {
+    match try_hybrid(&pool, 0..128, Some(8), &cancel, |_| {}) {
         Err(HybridError::Cancelled(stats)) => {
             assert_eq!(stats.skipped_partitions, stats.partitions);
         }
@@ -299,7 +313,7 @@ fn chaos_runs_actually_inject_faults() {
     for _ in 0..10 {
         let cancel = CancelToken::new();
         let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
-        try_hybrid_for(&pool, 0..256, Some(8), &cancel, |i| {
+        try_hybrid(&pool, 0..256, Some(8), &cancel, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         })
         .unwrap();
@@ -350,7 +364,7 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
         for round in 0..3 {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let cancel = CancelToken::new();
-            try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
+            try_hybrid(&pool, 0..n, Some(8), &cancel, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             })
             .unwrap_or_else(|e| panic!("seed {seed} round {round}: loop failed: {e:?}"));
@@ -395,7 +409,7 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
         // Post-recovery service check: the replacement participates.
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let cancel = CancelToken::new();
-        try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
+        try_hybrid(&pool, 0..n, Some(8), &cancel, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         })
         .unwrap_or_else(|e| panic!("seed {seed}: post-recovery loop failed: {e:?}"));
@@ -741,7 +755,7 @@ fn flat_map_socket_first_never_counts_remote_steals() {
         for _ in 0..3 {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let cancel = CancelToken::new();
-            try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
+            try_hybrid(&pool, 0..n, Some(8), &cancel, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             })
             .unwrap_or_else(|e| panic!("seed {seed}: loop failed: {e:?}"));

@@ -168,6 +168,27 @@ fn deadline_cancels_loop_without_leaking_claims() {
     assert_eq!(quick.load(Ordering::Relaxed), 64);
 }
 
+/// A deadline that passes while the *last* chunk runs skipped nothing: the
+/// loop completed, so no schedule may report `DeadlineExceeded`.
+#[test]
+fn deadline_passing_in_the_last_chunk_is_not_exceeded() {
+    let pool = Arc::new(ThreadPool::new(1));
+    let tenant =
+        Tenant::builder("late").deadline(Duration::from_millis(50)).build_on(Arc::clone(&pool));
+    let n = 64;
+    for sched in Schedule::roster(n, 1) {
+        let executed = AtomicUsize::new(0);
+        let r = tenant.par_for_chunks(0..n, sched, |chunk| {
+            if executed.fetch_add(chunk.len(), Ordering::Relaxed) + chunk.len() == n {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        assert_eq!(r, Ok(()), "{}", sched.name());
+        assert_eq!(executed.load(Ordering::Relaxed), n, "{}", sched.name());
+    }
+    assert_eq!(tenant.stats().cancelled_by_deadline, 0);
+}
+
 #[test]
 fn no_deadline_means_no_spurious_cancellation() {
     let pool = Arc::new(ThreadPool::new(2));

@@ -194,9 +194,21 @@ fn per_worker_stats_sum_to_pool_stats() {
     hybrid_for_with_stats(&pool, 0..8192, Some(32), |i| {
         std::hint::black_box(i);
     });
-    let per = pool.worker_stats();
+    // An adopter frame or assist handle left in a deque can still execute
+    // after the loop returned, so two separate snapshots may straddle a
+    // counter bump. Take the per-worker snapshot between two equal pool
+    // snapshots: the counters are monotone, so it is then exact.
+    let (per, totals) = loop {
+        let before = pool.stats();
+        let per = pool.worker_stats();
+        let totals = pool.stats();
+        if (before.jobs_executed, before.steals, before.failed_steal_sweeps)
+            == (totals.jobs_executed, totals.steals, totals.failed_steal_sweeps)
+        {
+            break (per, totals);
+        }
+    };
     assert_eq!(per.len(), 3);
-    let totals = pool.stats();
     assert_eq!(per.iter().map(|w| w.jobs_executed).sum::<u64>(), totals.jobs_executed);
     assert_eq!(per.iter().map(|w| w.steals).sum::<u64>(), totals.steals);
     assert_eq!(per.iter().map(|w| w.failed_steal_sweeps).sum::<u64>(), totals.failed_steal_sweeps);
