@@ -35,7 +35,7 @@ use crate::inject::{InjectLanes, Lane, QosClass};
 use crate::job::{HeapJob, JobRef, StackJob};
 use crate::latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
 use crate::rng::XorShift64Star;
-use crate::sleep::{Sleep, SleepOutcome};
+use crate::sleep::{spin_rounds, Backoff, Sleep, SleepOutcome};
 use crate::unwind;
 use crate::util::CachePadded;
 
@@ -123,7 +123,10 @@ pub struct PoolStats {
     /// different socket of the pool's [`TopologyMap`]. Always `0` under
     /// the default flat map.
     pub remote_steals: u64,
-    /// Steal sweeps that found nothing.
+    /// Steal sweeps that found nothing. An idle worker sweeps once per
+    /// backoff round before it parks, and those rounds are real failed
+    /// sweeps, so they count: this grows with idle time, not only with
+    /// contention.
     pub failed_steal_sweeps: u64,
     /// Jobs injected from external threads.
     pub injected: u64,
@@ -174,6 +177,9 @@ pub(crate) struct Registry {
     mailboxes: Vec<Lane>,
     injected: InjectLanes,
     pub(crate) sleep: Arc<Sleep>,
+    /// Empty search rounds before an idle worker parks, fixed at build
+    /// from the pool size and the host's CPU count ([`spin_rounds`]).
+    spin_rounds: u32,
     terminate: AtomicBool,
     counters: CounterBank,
     /// Event sink for the observability layer ([`parloop_trace`]).
@@ -760,9 +766,11 @@ impl WorkerThread {
     }
 
     /// Execute jobs until `latch` completes, preferring own work, then
-    /// mailbox/injected/stolen work; parks when the whole pool looks idle.
+    /// mailbox/injected/stolen work. Empty rounds back off through the
+    /// same [`Backoff`] as the main loop (spin, yield, then park); the
+    /// park also ends when the latch completes.
     ///
-    /// While parked with the latch unresolved, a watchdog tracks the
+    /// After every park with the latch unresolved, a watchdog tracks the
     /// pool-wide job counter: if *no* job executes anywhere for the pool's
     /// stall threshold, the waiter emits a [`StallReport`] through the
     /// stall handler (default: stderr) instead of hanging silently, then
@@ -770,7 +778,7 @@ impl WorkerThread {
     pub(crate) fn wait_until<L: Probe>(&self, latch: &L) {
         let depth = self.wait_depth.get();
         self.wait_depth.set(depth + 1);
-        let mut idle: u32 = 0;
+        let mut backoff = Backoff::new(self.registry.spin_rounds);
         // Watchdog state: time and pool-wide job count at the start of the
         // current no-progress window.
         let mut stall: Option<(Instant, u64)> = None;
@@ -778,21 +786,12 @@ impl WorkerThread {
             self.registry.heartbeat(self.index);
             if let Some(job) = self.find_work() {
                 unsafe { job.execute() };
-                idle = 0;
+                backoff.reset();
                 stall = None;
-                continue;
-            }
-            idle += 1;
-            if idle < 4 {
-                std::hint::spin_loop();
-            } else {
-                // On oversubscribed hosts, yielding quickly is essential.
-                std::thread::yield_now();
-                if idle >= 16 {
-                    let reg = &self.registry;
-                    self.park(|| latch.probe() || reg.has_visible_work(self.index));
-                    self.check_stall(&mut stall);
-                }
+            } else if backoff.snooze() {
+                let reg = &self.registry;
+                self.park(|| latch.probe() || reg.has_visible_work(self.index));
+                self.check_stall(&mut stall);
             }
         }
         self.wait_depth.set(depth);
@@ -935,9 +934,16 @@ impl WorkerThread {
         exit
     }
 
-    /// The body of the worker loop: find work, execute, park when idle.
+    /// The body of the worker loop: find work and execute it. Empty
+    /// rounds back off through the shared [`Backoff`], so an idle worker
+    /// keeps searching (spinning, then yielding) for
+    /// [`SPIN_ROUNDS`](crate::sleep::SPIN_ROUNDS) rounds before it parks,
+    /// unless the pool oversubscribes the host ([`spin_rounds`]). It
+    /// keeps beating its heartbeat and stays unparked meanwhile: it is
+    /// alive, not wedged.
     fn run_loop(&self) -> LoopExit {
         let reg = Arc::clone(&self.registry);
+        let mut backoff = Backoff::new(self.registry.spin_rounds);
         loop {
             // Self-heal *before* the terminate check, so a pool dropped
             // with a quarantined worker still exits through the healed
@@ -973,8 +979,8 @@ impl WorkerThread {
             }
             if let Some(job) = self.find_work() {
                 unsafe { job.execute() };
-            } else {
-                std::thread::yield_now();
+                backoff.reset();
+            } else if backoff.snooze() {
                 self.park(|| {
                     reg.terminate.load(Ordering::Acquire) || reg.has_visible_work(self.index)
                 });
@@ -1212,6 +1218,10 @@ impl ThreadPoolBuilder {
             mailboxes: (0..n).map(|_| Lane::new_fifo()).collect(),
             injected: InjectLanes::new(self.inject_lanes.unwrap_or(n)),
             sleep: Arc::new(Sleep::with_base(self.backstop_interval)),
+            spin_rounds: spin_rounds(
+                n,
+                std::thread::available_parallelism().map_or(1, |c| c.get()),
+            ),
             terminate: AtomicBool::new(false),
             counters: CounterBank::new(n),
             trace,

@@ -1,8 +1,20 @@
-//! Worker sleep/wake machinery: an event-counter protocol with targeted
-//! wakes and an exponentially backed-off timeout backstop.
+//! Worker sleep/wake machinery: one idle backoff, an event-counter
+//! protocol with targeted wakes, and an exponentially backed-off timeout
+//! backstop.
 //!
-//! Idle workers spin briefly, then block on a condvar. The protocol keeps
-//! the common (busy) path cheap and makes lost wakeups impossible:
+//! Both idle loops — the worker main loop and `wait_until` — back off
+//! through one [`Backoff`]: after each empty search round a worker spins
+//! (the first few rounds), then yields, and only after [`SPIN_ROUNDS`]
+//! consecutive empty rounds does it block on a condvar. A worker that is
+//! between two fine-grained loops is therefore still searching when the
+//! next loop's frame is pushed, instead of waiting for a notify-to-wake
+//! round trip; an idle pool still converges to sleep within the bound.
+//! Searching pays only while every worker can hold a CPU of its own, so
+//! on an oversubscribed host a worker yields once and then parks (see
+//! [`spin_rounds`]).
+//!
+//! Blocking itself follows a protocol that keeps the common (busy) path
+//! cheap and makes lost wakeups impossible:
 //!
 //! * **Sleepers** announce themselves (`sleepers += 1`), read the events
 //!   epoch, and then — *under the sleep lock* — re-check for work and for
@@ -75,6 +87,65 @@ pub const DEFAULT_BACKSTOP_INTERVAL: Duration = Duration::from_micros(500);
 /// the timeout up to `base << MAX_BACKOFF_SHIFT` (128ms at the default
 /// base).
 pub(crate) const MAX_BACKOFF_SHIFT: u32 = 8;
+
+/// Consecutive empty search rounds after which an idle worker parks.
+pub(crate) const SPIN_ROUNDS: u32 = 64;
+
+/// Empty rounds below this count only pause the core (`spin_loop`); later
+/// rounds yield the CPU, which oversubscribed hosts need.
+const PAUSE_ROUNDS: u32 = 4;
+
+/// The empty rounds after which an idle worker of a `workers`-strong pool
+/// parks on a host with `cpus` CPUs: [`SPIN_ROUNDS`], or, when the pool
+/// oversubscribes the host, the pause rounds and one yield. There a
+/// searching worker takes the time slice that a runnable peer or a thread
+/// submitting work needs, so it hands the slice over once and parks.
+pub(crate) fn spin_rounds(workers: usize, cpus: usize) -> u32 {
+    if workers <= cpus {
+        SPIN_ROUNDS
+    } else {
+        PAUSE_ROUNDS + 1
+    }
+}
+
+/// The idle policy shared by every worker wait: spin, then yield, then
+/// park. Callers run one search round (`find_work`) per step, call
+/// [`snooze`](Self::snooze) when it came up empty and
+/// [`reset`](Self::reset) when it found work.
+#[derive(Debug)]
+pub(crate) struct Backoff {
+    rounds: u32,
+    /// Empty rounds before a park (see [`spin_rounds`]).
+    limit: u32,
+}
+
+impl Backoff {
+    pub(crate) fn new(limit: u32) -> Self {
+        Backoff { rounds: 0, limit }
+    }
+
+    /// Work was found: the next empty round starts the backoff afresh.
+    pub(crate) fn reset(&mut self) {
+        self.rounds = 0;
+    }
+
+    /// Back off after one empty round. Returns `true` when the caller
+    /// should park now; the count then restarts, so a worker woken to an
+    /// empty pool searches the full limit again before it parks again.
+    pub(crate) fn snooze(&mut self) -> bool {
+        self.rounds += 1;
+        if self.rounds >= self.limit {
+            self.rounds = 0;
+            return true;
+        }
+        if self.rounds < PAUSE_ROUNDS {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        false
+    }
+}
 
 /// How a call to [`Sleep::sleep`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,6 +260,27 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+
+    #[test]
+    fn backoff_parks_after_spin_rounds_and_restarts() {
+        let mut b = Backoff::new(SPIN_ROUNDS);
+        for _ in 0..2 {
+            assert!((1..SPIN_ROUNDS).all(|_| !b.snooze()), "no park before SPIN_ROUNDS");
+            assert!(b.snooze(), "park on round SPIN_ROUNDS");
+        }
+        (1..SPIN_ROUNDS).for_each(|_| assert!(!b.snooze()));
+        b.reset();
+        assert!((1..SPIN_ROUNDS).all(|_| !b.snooze()), "reset restarts the count");
+    }
+
+    #[test]
+    fn oversubscribed_pools_yield_once_then_park() {
+        assert_eq!(spin_rounds(1, 1), SPIN_ROUNDS);
+        assert_eq!(spin_rounds(4, 4), SPIN_ROUNDS);
+        let mut b = Backoff::new(spin_rounds(3, 2));
+        assert!((0..PAUSE_ROUNDS).all(|_| !b.snooze()), "pauses, then one yield");
+        assert!(b.snooze(), "then a park");
+    }
 
     #[test]
     fn sleep_returns_immediately_when_work_present() {

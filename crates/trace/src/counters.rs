@@ -46,7 +46,8 @@ pub struct WorkerStats {
     /// different socket (the second phase of a socket-first sweep). Always
     /// `0` under a uniform steal policy or a flat topology map.
     pub remote_steals: u64,
-    /// Steal sweeps by this worker that found nothing.
+    /// Steal sweeps by this worker that found nothing, including the
+    /// sweeps of its idle search rounds before it parks.
     pub failed_steal_sweeps: u64,
     /// Externally-injected jobs this worker drained from the sharded
     /// injection lanes (its own lane or another's during a sweep).

@@ -21,6 +21,8 @@
 //! The seed sweep honours `CHAOS_SEEDS` (default 64) so CI can dial the
 //! stress level (`scripts/verify.sh` runs a reduced sweep).
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,6 +35,8 @@ use parloop::runtime::{Latch, StealPolicy, TopologyMap, WorkerToken};
 use parloop::trace::metrics::max_claim_failure_run;
 use parloop::trace::{init_clock, RingTraceSink};
 use parloop::{par_for_tracked, CancelToken, Schedule, ThreadPool, ThreadPoolBuilder, TraceEvent};
+
+use common::thread_census;
 
 /// A cancellable hybrid loop (`R = next_pow2(P)`) with a per-index body,
 /// through the one loop dispatcher.
@@ -329,19 +333,6 @@ fn chaos_runs_actually_inject_faults() {
     assert!(claim_faults > 0, "claim site never injected at ~25% rate across 10 runs");
 }
 
-/// Live threads of this process whose name starts with `prefix`
-/// (`/proc/self/task/*/comm`); other tests' pools use other prefixes, so
-/// concurrent tests don't pollute the count.
-fn threads_named(prefix: &str) -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("linux procfs")
-        .filter(|entry| {
-            let comm = entry.as_ref().unwrap().path().join("comm");
-            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with(prefix))
-        })
-        .count()
-}
-
 /// Self-healing under worker death, across a seed sweep: a one-shot
 /// `Kill` at the `WorkerExit` site takes a worker down mid-service. The
 /// pool must preserve exactly-once for every loop, respawn the dead slot
@@ -401,7 +392,7 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
             "seed {seed}: no slot recorded a respawn epoch: {health:?}"
         );
         assert_eq!(
-            threads_named(&prefix),
+            thread_census(&prefix, |n| n == p),
             p,
             "seed {seed}: thread census off after respawn (dead thread unreaped or doubled)"
         );
@@ -415,7 +406,11 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
         .unwrap_or_else(|e| panic!("seed {seed}: post-recovery loop failed: {e:?}"));
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "seed {seed}");
         drop(pool);
-        assert_eq!(threads_named(&prefix), 0, "seed {seed}: drop leaked worker threads");
+        assert_eq!(
+            thread_census(&prefix, |n| n == 0),
+            0,
+            "seed {seed}: drop leaked worker threads"
+        );
     }
 }
 

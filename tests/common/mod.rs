@@ -1,11 +1,45 @@
-//! Dependency-free randomized-case generator shared by the property-test
-//! suites (a small stand-in for the former proptest harness).
+//! Helpers shared by the integration suites: a dependency-free
+//! randomized-case generator for the property tests (a small stand-in for
+//! the former proptest harness) and an OS thread census.
 //!
 //! Each property runs a fixed number of cases; every case gets its own
 //! deterministic xorshift64* stream derived from a per-test seed and the
 //! case index, so failures reproduce exactly and runs never flake.
 
 #![allow(dead_code)]
+
+use std::time::{Duration, Instant};
+
+/// Live threads of this process whose name starts with `prefix`
+/// (`/proc/self/task/*/comm`); tests give their pools distinct prefixes,
+/// so concurrent tests don't pollute the count.
+pub fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("linux procfs")
+        .filter(|entry| {
+            let comm = entry.as_ref().unwrap().path().join("comm");
+            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with(prefix))
+        })
+        .count()
+}
+
+/// The first [`threads_named`] reading that `settled` accepts, or the
+/// last one after two seconds. One procfs listing is not a reliable
+/// census: a new thread carries its creator's name until it first runs
+/// and names itself, a joined thread stays listed until the kernel
+/// finishes its exit, and a thread of a concurrent test exiting
+/// mid-listing makes the listing skip an entry. A leaked, missing or
+/// doubled thread persists past the wait.
+pub fn thread_census(prefix: &str, settled: impl Fn(usize) -> bool) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let n = threads_named(prefix);
+        if settled(n) || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 /// xorshift64* PRNG — tiny, fast, and good enough for test-case shapes.
 pub struct XorShift64 {
