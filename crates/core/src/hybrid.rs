@@ -11,11 +11,10 @@
 //!    protocol: if its designated partition `r = w ⊕ 0 = w` is still
 //!    unclaimed, it re-instantiates the frame under its own worker id
 //!    (claiming partitions starting from `w`), re-publishing one more
-//!    frame so later thieves can join (bounded by `P` total, matching the
-//!    analysis's "at most P protocol steals"); if `r` is already claimed,
-//!    the thief simply returns to ordinary randomized work stealing —
-//!    where it can still steal *chunks* of claimed partitions, because
-//!    each partition body runs as a stealable (lazily split) loop.
+//!    frame so later thieves can join; if `r` is already claimed, the
+//!    thief simply returns to ordinary randomized work stealing — where it
+//!    can still steal *chunks* of claimed partitions, because each
+//!    partition body runs as a stealable (lazily split) loop.
 //! 3. `DoHybridLoop` walks the semi-deterministic claim sequence
 //!    ([`ClaimWalker`]); every successfully claimed partition executes via
 //!    the lazy splitter ([`lazy_for_chunks`]) and then decrements the
@@ -28,11 +27,25 @@
 //! group, which guarantees every partition is eventually claimed by one of
 //! the workers running the heuristic.
 //!
+//! # The frame is the loop state
+//!
+//! A frame is not a boxed closure: it is an intrusive job on the loop's
+//! own `Arc<HybridState>` ([`ArcJob`]). Publishing one costs a strong-count
+//! increment and a deque push, and running it consumes that reference, so
+//! a loop allocates only its state and its claim table. Frames are
+//! budgeted at **`P − 1` per loop** — only `P − 1` other workers exist to
+//! steal them, which keeps the analysis's "at most P protocol steals" —
+//! so a one-worker pool publishes none. When a publisher's claim walk
+//! ends (the initiator's or an adopter's) it **retracts** its frame: if
+//! nobody took it and it is still the bottom entry of its own deque, the
+//! publisher pops it back. No dead frame outlives its loop, so a thief
+//! steals the oldest *live* job instead of a spent frame.
+//!
 //! The scheduler is generic over the loop body `F: Fn(Range<usize>)`, so
 //! every leaf chunk of a claimed partition runs monomorphized. Type
-//! erasure happens only at the adopter-frame boundary (the frame closure
-//! is boxed to cross `spawn_local`), i.e. once per protocol steal instead
-//! of once per iteration.
+//! erasure happens only at the frame boundary (the job's execute function
+//! is instantiated per `F`), i.e. once per protocol steal instead of once
+//! per iteration.
 //!
 //! # Completion-path ordering (fence audit)
 //!
@@ -71,13 +84,13 @@ use std::sync::{Arc, Mutex};
 
 use parloop_runtime::chaos::{chaos_spin, INJECTED_PANIC_MSG};
 use parloop_runtime::{
-    CancelToken, CountLatch, FaultAction, Site, TopologyMap, TraceEvent, WorkerToken,
+    ArcJob, CancelToken, CountLatch, FaultAction, Site, TraceEvent, WorkerToken,
 };
 
 use crate::claim::{locality_earmark, partitions_oversubscribed, ClaimTable, ClaimWalker};
 use crate::lazy::lazy_for_chunks;
 use crate::range::block_bounds;
-use crate::util::SendPtr;
+use crate::util::{PublishBudget, SendPtr};
 
 /// Observability counters from one loop execution. Every field but
 /// `assist_joins` is specific to the hybrid scheme and reads 0 under the
@@ -157,9 +170,10 @@ impl std::fmt::Display for HybridError {
 
 impl std::error::Error for HybridError {}
 
-/// Shared per-loop state. `F` is the (chunk) body type; the state never
-/// owns the body — `body` is a lifetime-erased pointer to the caller's
-/// borrow, dereferenced only while the caller still blocks on `latch`.
+/// Shared per-loop state, and the adopter frame itself (its [`ArcJob`]
+/// impl). `F` is the (chunk) body type; the state never owns the body —
+/// `body` is a lifetime-erased pointer to the caller's borrow,
+/// dereferenced only while the caller still blocks on `latch`.
 struct HybridState<F> {
     table: ClaimTable,
     latch: CountLatch,
@@ -168,11 +182,11 @@ struct HybridState<F> {
     r_parts: usize,
     grain: usize,
     body: SendPtr<F>,
-    /// Adopter frames spawned so far (the initial frame plus re-publishes).
-    frames: AtomicUsize,
+    /// Adopter frames published so far (the initial frame plus
+    /// re-publishes), capped at `P − 1`.
+    frames: PublishBudget,
     /// Workers that actually adopted the loop via the steal protocol.
     adoptions: AtomicUsize,
-    max_frames: usize,
     failed_claims: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     poisoned: AtomicBool,
@@ -183,25 +197,27 @@ struct HybridState<F> {
     /// Cooperative cancellation; `None` for loops without a token (the
     /// common path pays one `Option` check per claim).
     cancel: Option<CancelToken>,
-    /// The pool's worker → socket map, anchoring each participant's claim
-    /// walk at a partition homed on its own socket ([`locality_earmark`]).
-    /// Under the default flat map the earmark is the paper's `r = w`.
-    topology: Arc<TopologyMap>,
 }
 
 impl<F> HybridState<F> {
-    /// The partition worker `w` anchors its claim walk at. The blocked
-    /// partition → socket mapping matches `NumaPolicy::BlockedByRange`,
-    /// so under first-touch the earmarked partition's pages live on the
-    /// claimer's socket. The *steal* side of locality is the runtime's
-    /// `StealPolicy::SocketFirst`; both consult the same topology map, so
-    /// "local" means the same thing in both layers.
-    fn earmark(&self, w: usize) -> usize {
-        if self.topology.is_flat() {
-            // Identity fast path — and the exact pre-topology behavior.
-            return w % self.r_parts;
-        }
-        locality_earmark(self.topology.socket_table(), self.topology.sockets(), w, self.r_parts)
+    /// The partition worker `token` anchors its claim walk at: a
+    /// partition homed on its own socket of the pool's topology map
+    /// ([`locality_earmark`]), the paper's `r = w` under the default flat
+    /// map. The blocked partition → socket mapping matches
+    /// `NumaPolicy::BlockedByRange`, so under first-touch the earmarked
+    /// partition's pages live on the claimer's socket. The *steal* side of
+    /// locality is the runtime's `StealPolicy::SocketFirst`; both consult
+    /// the same topology map, so "local" means the same thing in both
+    /// layers.
+    fn earmark(&self, token: &WorkerToken) -> usize {
+        let w = token.index();
+        token.with_topology(|topology| {
+            if topology.is_flat() {
+                // Identity fast path — and the exact pre-topology behavior.
+                return w % self.r_parts;
+            }
+            locality_earmark(topology.socket_table(), topology.sockets(), w, self.r_parts)
+        })
     }
     #[inline]
     fn cancelled(&self) -> bool {
@@ -226,6 +242,20 @@ impl<F> HybridState<F> {
             failed_claims: self.failed_claims.load(Ordering::Relaxed),
             skipped_partitions: self.skipped.load(Ordering::Relaxed),
             assist_joins: self.assists.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl<F> ArcJob for HybridState<F>
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    /// The `DoHybridLoop` frame, popped or stolen. Off the pool (a frame
+    /// still queued when the pool shut down) the loop is long over, so the
+    /// reference is simply released.
+    fn execute(this: Arc<Self>) {
+        if let Some(token) = WorkerToken::current() {
+            adopt_frame(token, this);
         }
     }
 }
@@ -302,7 +332,9 @@ where
 
     let state = Arc::new(HybridState {
         table: ClaimTable::new(r_parts),
-        latch: token.count_latch(r_parts),
+        // SAFETY: every partition resolves the latch before this function
+        // returns, on a worker of this pool (module docs).
+        latch: unsafe { token.count_latch(r_parts) },
         range_start: range.start,
         n,
         r_parts,
@@ -314,26 +346,22 @@ where
         // Frames that run later hit the `all_claimed` early-return and
         // never touch `body`.
         body: SendPtr::new(body),
-        frames: AtomicUsize::new(0),
+        frames: PublishBudget::new(p),
         adoptions: AtomicUsize::new(0),
-        max_frames: p,
         failed_claims: AtomicUsize::new(0),
         panic: Mutex::new(None),
         poisoned: AtomicBool::new(false),
         skipped: AtomicUsize::new(0),
         assists: AtomicUsize::new(0),
         cancel: cancel.cloned(),
-        topology: token.topology(),
     });
 
     // Publish the DoHybridLoop frame for thieves, then run it ourselves.
-    // An injected publish fault must not unwind out of here (the stack
-    // frames the state borrows from are still live), so it is captured
-    // like a body panic.
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| publish_frame(&token, &state))) {
-        state.record_panic(payload);
-    }
+    let published = publish_frame(&token, &state);
     do_hybrid_loop(&token, &state);
+    if published {
+        token.retract(&state);
+    }
     // Under fault injection the walkers above may have been *forced* to
     // lose claims or abandon their walk (injected claim panics), which
     // voids Lemma 2's liveness argument. The initiator therefore sweeps
@@ -356,11 +384,25 @@ where
 }
 
 /// Push one adopter frame onto the current worker's deque, if the protocol
-/// budget (`P` frames per loop) allows. The budget is consumed only by
-/// frames actually published: a CAS loop backs off without spending a slot
-/// once the cap is reached, so `P` rejected attempts cannot starve later
+/// budget (`P − 1` frames per loop) allows. The budget is consumed only by
+/// frames actually published, so rejected attempts cannot starve later
 /// legitimate re-publishes. Returns whether a frame was actually pushed.
+///
+/// An injected publish panic is captured like a body panic: it must not
+/// unwind out of the initiator (the stack frames the state borrows from
+/// are still live) nor out of an adopter frame into the deque pop.
 fn publish_frame<F>(token: &WorkerToken, state: &Arc<HybridState<F>>) -> bool
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    catch_unwind(AssertUnwindSafe(|| try_publish_frame(token, state))).unwrap_or_else(|payload| {
+        state.record_panic(payload);
+        false
+    })
+}
+
+/// [`publish_frame`] without the panic capture (the chaos gate may panic).
+fn try_publish_frame<F>(token: &WorkerToken, state: &Arc<HybridState<F>>) -> bool
 where
     F: Fn(Range<usize>) + Sync,
 {
@@ -378,30 +420,15 @@ where
             FaultAction::None => {}
         }
     }
-    let mut cur = state.frames.load(Ordering::Relaxed);
-    loop {
-        if cur >= state.max_frames {
-            return false;
-        }
-        match state.frames.compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => break,
-            Err(seen) => cur = seen,
-        }
+    if !state.frames.try_take() {
+        return false;
     }
-    let st = Arc::clone(state);
-    let frame: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-        let token = WorkerToken::current().expect("adopter frames execute on pool workers");
-        adopt_frame(token, st);
-    });
-    // SAFETY: erase the frame's lifetime (it captures `Arc<HybridState<F>>`
-    // where `F` may borrow the caller's stack). A frame popped after the
-    // loop completes only observes `all_claimed` and drops the Arc; the
-    // body pointer inside is dereferenced solely for partitions claimed
-    // while the initiator still blocks on the latch. Same pattern as
-    // `Scope::spawn` in parloop-runtime.
-    let frame: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(frame) };
-    token.spawn_local(frame);
+    // SAFETY (publish's lifetime contract): `F` may borrow the caller's
+    // stack. A frame run after the loop completes only observes
+    // `all_claimed` and drops its reference; the body pointer is
+    // dereferenced solely for partitions claimed while the initiator still
+    // blocks on the latch; and dropping the state drops no `F`.
+    unsafe { token.publish(state) };
     true
 }
 
@@ -414,12 +441,11 @@ where
     if state.table.all_claimed() {
         return; // loop already fully claimed; nothing to adopt
     }
-    let w = token.index();
-    debug_assert!(w < state.r_parts, "worker id exceeds partition count");
+    debug_assert!(token.index() < state.r_parts, "worker id exceeds partition count");
     // The same earmark `claim_walk` will anchor at — the protocol's
     // "designated partition" check and the walk must agree, or a thief
     // could decline to adopt a loop whose anchor it would have won.
-    if state.table.is_claimed(state.earmark(w)) {
+    if state.table.is_claimed(state.earmark(&token)) {
         // Designated starting partition taken: fall back to ordinary
         // randomized work stealing (the worker can still steal chunks of
         // claimed partitions' inner loops).
@@ -428,15 +454,15 @@ where
     // Relaxed: observability counter; ordering argument in module docs.
     state.adoptions.fetch_add(1, Ordering::Relaxed);
     token.trace(TraceEvent::HybridFrameStolen);
-    // Re-instantiate the frame so later thieves can also join. Adopter
-    // frames run from the scheduler's own loop, so an injected publish
-    // panic is captured here rather than unwinding into the deque pop.
-    match catch_unwind(AssertUnwindSafe(|| publish_frame(&token, &state))) {
-        Ok(true) => token.trace(TraceEvent::FrameReinstantiated),
-        Ok(false) => {}
-        Err(payload) => state.record_panic(payload),
+    // Re-instantiate the frame so later thieves can also join.
+    let republished = publish_frame(&token, &state);
+    if republished {
+        token.trace(TraceEvent::FrameReinstantiated);
     }
     do_hybrid_loop(&token, &state);
+    if republished {
+        token.retract(&state);
+    }
 }
 
 /// Algorithm 3: the claim walk plus partition execution. Panics escaping
@@ -464,10 +490,9 @@ fn claim_walk<F>(token: &WorkerToken, state: &Arc<HybridState<F>>)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let w = token.index();
     let tracing = token.tracing_enabled();
     let chaos = token.chaos_enabled();
-    let mut walker = ClaimWalker::with_start(state.earmark(w), state.r_parts);
+    let mut walker = ClaimWalker::with_start(state.earmark(token), state.r_parts);
     // One combined latch decrement per walk instead of one per partition
     // (flushed on drop — including an unwind from an injected panic).
     let mut done = LatchBatch::new(&state.latch);
@@ -767,7 +792,7 @@ mod tests {
             let stats = run_hybrid(&pool, 4096, 16, |i| {
                 std::hint::black_box(i);
             });
-            assert!(stats.adoptions <= 4, "adoptions {} > P", stats.adoptions);
+            assert!(stats.adoptions <= 3, "adoptions {} > P - 1", stats.adoptions);
         }
     }
 
@@ -775,37 +800,35 @@ mod tests {
     fn frame_budget_not_consumed_by_rejected_publishes() {
         // Regression: a rejected publish (budget full) must not burn a
         // slot. After the cap is hit, repeated publish attempts leave the
-        // counter saturated at max_frames instead of overflowing past it.
-        let pool = ThreadPool::new(2);
+        // counter saturated at P − 1 instead of overflowing past it.
+        let pool = ThreadPool::new(4);
         pool.install(|| {
             let token = WorkerToken::current().unwrap();
             let body = |_: Range<usize>| {};
             let state = Arc::new(HybridState {
-                table: ClaimTable::new(2),
-                latch: token.count_latch(0),
+                table: ClaimTable::new(4),
+                latch: CountLatch::detached(0),
                 range_start: 0,
                 n: 0,
-                r_parts: 2,
+                r_parts: 4,
                 grain: 1,
                 body: SendPtr::new(&body),
-                frames: AtomicUsize::new(0),
+                frames: PublishBudget::new(4),
                 adoptions: AtomicUsize::new(0),
-                max_frames: 2,
                 failed_claims: AtomicUsize::new(0),
                 panic: Mutex::new(None),
                 poisoned: AtomicBool::new(false),
                 skipped: AtomicUsize::new(0),
                 assists: AtomicUsize::new(0),
                 cancel: None,
-                topology: token.topology(),
             });
             // Claim everything so the published frames are inert no-ops.
-            state.table.try_claim(0);
-            state.table.try_claim(1);
-            for _ in 0..10 {
-                publish_frame(&token, &state);
+            for part in 0..4 {
+                state.table.try_claim(part);
             }
-            assert_eq!(state.frames.load(Ordering::Acquire), 2);
+            let published = (0..10).filter(|_| publish_frame(&token, &state)).count();
+            assert_eq!(published, 3);
+            assert_eq!(state.frames.used(), 3);
         });
     }
 }

@@ -17,12 +17,19 @@
 //!   While no assistant is registered (`shared` unset) the owner is the
 //!   packed word's only writer: a plain load plus one release store per
 //!   chunk — no CAS, no fence beyond the store.
-//! * Exactly **one** stealable **assist handle** job sits in a deque. A
-//!   thief that executes it *registers* (bumps `working`, sets `shared`,
-//!   waits for the owner's `ack`), re-publishes the handle on its own
-//!   deque so further thieves can join, and then claims chunks from the
-//!   same cursor via CAS. Deque pushes per loop are therefore
-//!   `O(assists + 1)`, not `O(n/grain)`.
+//! * At most **one** stealable **assist handle** job sits in a deque at a
+//!   time, and none after the loop. A thief that executes it *registers*
+//!   (bumps `working`, sets `shared`, waits for the owner's `ack`),
+//!   re-publishes the handle on its own deque so further thieves can
+//!   join, and then claims chunks from the same cursor via CAS. Deque
+//!   pushes per loop are therefore `O(assists + 1)`, not `O(n/grain)`.
+//! * The handle is the loop's own `Arc<LoopCoordinator>` as an intrusive
+//!   job ([`ArcJob`]): publishing it allocates nothing. Handles are
+//!   budgeted at `P − 1` per loop (only `P − 1` other workers can take
+//!   one), and each publisher — owner or assistant — **retracts** its
+//!   handle when its claim loop ends: if nobody took it and it is still
+//!   the bottom entry of its own deque, it pops it back, so no spent
+//!   handle is left for a thief to steal.
 //!
 //! ## The exclusive→shared transition
 //!
@@ -60,11 +67,11 @@
 //! ## The single-worker bypass
 //!
 //! Every piece above exists to coordinate with *thieves*, and a P = 1
-//! pool cannot have any: the assist handle is only reachable by stealing,
-//! and this worker — the only one — is busy running the loop. So with one
-//! worker the loop skips the coordinator allocation, the latch, the
-//! handshake and the claim machinery entirely and runs as a plain chunked
-//! call (the bypass branch of [`lazy_for_chunks`]). Observable
+//! pool cannot have any: its handle budget is zero, and this worker — the
+//! only one — is busy running the loop. So with one worker the loop skips
+//! the coordinator allocation, the latch, the handshake and the claim
+//! machinery entirely and runs as a plain chunked call (the bypass branch
+//! of [`lazy_for_chunks`]). Observable
 //! behaviour is unchanged: chunk trace brackets still fire, panics still
 //! propagate to the caller, and `Site::AssistClaim` is — as on the
 //! coordinator path with zero assists — never consulted.
@@ -99,9 +106,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use parloop_runtime::chaos::{chaos_spin, INJECTED_PANIC_MSG};
-use parloop_runtime::{CountLatch, FaultAction, Latch, Site, TraceEvent, WorkerToken};
+use parloop_runtime::{ArcJob, CountLatch, FaultAction, Latch, Site, TraceEvent, WorkerToken};
 
-use crate::util::SendPtr;
+use crate::util::{PublishBudget, SendPtr};
 
 #[inline]
 fn pack(cursor: u64, end: u64) -> u64 {
@@ -114,10 +121,10 @@ fn unpack(packed: u64) -> (u64, u64) {
 }
 
 /// Shared per-loop state: the packed cursor, the exclusive→shared
-/// handshake, and the completion/panic protocol. `F` is the chunk body
-/// type; `body` is a lifetime-erased pointer to the caller's borrow,
-/// dereferenced only for chunks claimed while the owner still blocks on
-/// `latch`.
+/// handshake, and the completion/panic protocol — and the assist handle
+/// itself (its [`ArcJob`] impl). `F` is the chunk body type; `body` is a
+/// lifetime-erased pointer to the caller's borrow, dereferenced only for
+/// chunks claimed while the owner still blocks on `latch`.
 struct LoopCoordinator<F> {
     /// Remaining range, packed as `end << 32 | cursor` (loop-relative).
     range: AtomicU64,
@@ -147,6 +154,8 @@ struct LoopCoordinator<F> {
     /// loop whose handle was adopted, never the enclosing one. Read once
     /// by the owner after the latch resolves.
     assists: AtomicUsize,
+    /// Assist handles published so far, capped at `P − 1`.
+    handles: PublishBudget,
 }
 
 impl<F> LoopCoordinator<F> {
@@ -164,6 +173,20 @@ impl<F> LoopCoordinator<F> {
     fn drain(&self) {
         let (_, end) = unpack(self.range.load(Ordering::Acquire));
         self.range.store(pack(end, end), Ordering::Release);
+    }
+}
+
+impl<F> ArcJob for LoopCoordinator<F>
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    /// The assist handle, popped or stolen. Off the pool (a handle still
+    /// queued when the pool shut down) the loop is long over, so the
+    /// reference is simply released.
+    fn execute(this: Arc<Self>) {
+        if let Some(token) = WorkerToken::current() {
+            adopt_handle(token, this);
+        }
     }
 }
 
@@ -275,20 +298,24 @@ where
         shared: AtomicBool::new(false),
         ack: AtomicBool::new(false),
         working: AtomicUsize::new(1),
-        latch: token.count_latch(1),
+        // SAFETY: the participant that takes `working` to zero sets the
+        // latch, and every participant is a worker of this pool.
+        latch: unsafe { token.count_latch(1) },
         finished: AtomicBool::new(false),
         panic: Mutex::new(None),
         poisoned: AtomicBool::new(false),
         assists: AtomicUsize::new(0),
+        handles: PublishBudget::new(token.num_workers()),
     });
 
     // The single stealable entry point into this loop. On a one-worker
-    // pool no thief exists, so the loop costs zero deque pushes (only the
-    // forced-coordinator entry reaches here with P = 1).
-    if token.num_workers() > 1 {
-        publish_handle(token, &state);
-    }
+    // pool the budget is zero, so the loop costs zero deque pushes (only
+    // the forced-coordinator entry reaches here with P = 1).
+    let published = publish_handle(token, &state);
     participate(token, &state, true);
+    if published {
+        token.retract(&state);
+    }
     token.wait_until(&state.latch);
 
     let maybe_panic = state.panic.lock().unwrap().take();
@@ -300,24 +327,22 @@ where
     state.assists.load(Ordering::Relaxed)
 }
 
-/// Push one assist handle onto the current worker's deque.
-fn publish_handle<F>(token: &WorkerToken, state: &Arc<LoopCoordinator<F>>)
+/// Push one assist handle onto the current worker's deque, if the loop's
+/// `P − 1` budget allows. Returns whether a handle was pushed.
+fn publish_handle<F>(token: &WorkerToken, state: &Arc<LoopCoordinator<F>>) -> bool
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let st = Arc::clone(state);
-    let handle: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-        let token = WorkerToken::current().expect("assist handles execute on pool workers");
-        adopt_handle(token, st);
-    });
-    // SAFETY: erase the handle's lifetime (it captures an
-    // `Arc<LoopCoordinator<F>>` where `F` may borrow the caller's stack).
-    // A handle popped after the loop completes observes the exhausted
-    // cursor and drops the Arc without dereferencing `body`; chunks are
-    // claimed only while the owner still blocks on the latch. Same
-    // pattern as the hybrid scheduler's adopter frames.
-    let handle: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(handle) };
-    token.spawn_local(handle);
+    if !state.handles.try_take() {
+        return false;
+    }
+    // SAFETY (publish's lifetime contract): `F` may borrow the caller's
+    // stack. A handle run after the loop completes observes the exhausted
+    // cursor and drops its reference without dereferencing `body`; chunks
+    // are claimed only while the owner still blocks on the latch; and
+    // dropping the state drops no `F`.
+    unsafe { token.publish(state) };
+    true
 }
 
 /// Entry point of a popped or stolen assist handle: register as an
@@ -339,9 +364,9 @@ where
     state.assists.fetch_add(1, Ordering::Relaxed);
     token.note_assist_join();
     token.trace(TraceEvent::AssistJoin);
-    // Keep exactly one handle available for further thieves (fan-out is
-    // O(active assistants), not O(n/grain)).
-    publish_handle(&token, &state);
+    // Keep one handle available for further thieves while the budget
+    // lasts (fan-out is O(active assistants), not O(n/grain)).
+    let republished = publish_handle(&token, &state);
     // Handshake: announce, then wait for the owner to leave its
     // single-writer fast path. The owner checks `shared` once per chunk
     // and sets `ack` on observing it — or unconditionally on exit — so
@@ -357,6 +382,9 @@ where
         }
     }
     participate(&token, &state, false);
+    if republished {
+        token.retract(&state);
+    }
 }
 
 /// Run one participant (owner or assistant) to cursor exhaustion, then

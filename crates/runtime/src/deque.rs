@@ -211,6 +211,30 @@ impl<T: Copy + Send> Worker<T> {
         }
     }
 
+    /// Pop the bottom element only if `matches` accepts it; otherwise leave
+    /// the deque untouched and return `None`. Only the owner calls this.
+    ///
+    /// The peek needs no synchronization: only the owner writes slots and
+    /// `bottom`, and a thief that takes the peeked element meanwhile is
+    /// caught by the ordinary [`pop`](Self::pop) protocol that follows (the
+    /// slot at `bottom - 1` still holds the peeked value, so `pop` returns
+    /// exactly that element or `None`).
+    pub fn pop_if(&self, matches: impl FnOnce(&T) -> bool) -> Option<T> {
+        let inner = &*self.inner;
+        let b = inner.bottom.load(Ordering::Relaxed) - 1;
+        if inner.top.load(Ordering::Relaxed) > b {
+            return None;
+        }
+        let buf = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: `top <= b < bottom` was observed, and the owner wrote
+        // slot `b` in its own `push`; a stale `top` only makes the slot
+        // possibly stolen, never unwritten (`T: Copy`).
+        if !matches(unsafe { &(*buf).read(b) }) {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Number of elements currently visible (approximate under concurrency).
     pub fn len(&self) -> usize {
         let b = self.inner.bottom.load(Ordering::Relaxed);
@@ -453,6 +477,70 @@ mod tests {
         assert_eq!(s.steal(), Steal::Success(1));
         assert_eq!(w2.pop(), Some(2));
         assert!(w2.is_empty());
+    }
+
+    #[test]
+    fn pop_if_takes_only_a_matching_bottom() {
+        let (w, s) = deque::<u64>();
+        assert_eq!(w.pop_if(|_| true), None, "empty deque");
+        w.push(1);
+        w.push(2);
+        assert_eq!(w.pop_if(|&v| v == 1), None, "1 is not the bottom");
+        assert_eq!(w.len(), 2, "a rejected pop_if leaves the deque untouched");
+        assert_eq!(w.pop_if(|&v| v == 2), Some(2));
+        assert_eq!(w.pop_if(|&v| v == 1), Some(1));
+        assert!(w.is_empty());
+        // A bottom already stolen is not popped again.
+        w.push(3);
+        assert_eq!(s.steal(), Steal::Success(3));
+        assert_eq!(w.pop_if(|_| true), None);
+        w.push(4);
+        assert_eq!(w.pop(), Some(4));
+    }
+
+    /// Stress: the owner pushes and takes back with `pop_if` (and `pop`)
+    /// while thieves steal; every element is taken exactly once.
+    #[test]
+    fn pop_if_concurrent_exactly_once() {
+        const N: usize = 20_000;
+        const THIEVES: usize = 2;
+        let (w, s) = deque::<usize>();
+        let taken: Arc<Vec<AtomicUsize>> = Arc::new((0..N).map(|_| AtomicUsize::new(0)).collect());
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        thread::scope(|scope| {
+            for _ in 0..THIEVES {
+                let (s, taken, done) = (s.clone(), Arc::clone(&taken), Arc::clone(&done));
+                scope.spawn(move || loop {
+                    match s.steal() {
+                        Steal::Success(v) => {
+                            taken[v].fetch_add(1, Ordering::Relaxed);
+                        }
+                        Steal::Empty if done.load(Ordering::Acquire) => break,
+                        _ => std::hint::spin_loop(),
+                    }
+                });
+            }
+            for i in 0..N {
+                w.push(i);
+                // Retract the element just pushed half the time; a miss
+                // (stolen) or a mismatch must leave everything else alone.
+                if i % 2 == 0 {
+                    if let Some(v) = w.pop_if(|&v| v == i) {
+                        assert_eq!(v, i);
+                        taken[v].fetch_add(1, Ordering::Relaxed);
+                    }
+                } else if i % 3 == 0 {
+                    assert_eq!(w.pop_if(|&v| v == usize::MAX), None);
+                }
+            }
+            while let Some(v) = w.pop() {
+                taken[v].fetch_add(1, Ordering::Relaxed);
+            }
+            done.store(true, Ordering::Release);
+        });
+        for (i, t) in taken.iter().enumerate() {
+            assert_eq!(t.load(Ordering::Relaxed), 1, "element {i} taken wrong number of times");
+        }
     }
 
     #[test]

@@ -68,8 +68,9 @@ where
     RA: Send,
     RB: Send,
 {
-    let sleep = std::sync::Arc::clone(&wt.registry().sleep);
-    let job_b = StackJob::new(b, crate::latch::SpinLatch::with_sleep(sleep));
+    // SAFETY (latch): `b` is set by a worker of this pool, or by this
+    // worker itself, before this frame returns.
+    let job_b = StackJob::new(b, crate::latch::SpinLatch::with_sleep(&wt.registry().sleep));
     wt.push(job_b.as_job_ref());
 
     let ra = match unwind::halt_unwinding(a) {

@@ -1,10 +1,21 @@
 //! Latches: one-shot (or counted) completion signals.
 //!
 //! A latch is how a waiting task learns that work it forked has finished.
-//! Latches that may be awaited by *pool workers* carry a handle to the
+//! Latches that may be awaited by *pool workers* carry a pointer to the
 //! pool's sleep machinery so that `set` can wake a parked waiter; the
 //! [`LockLatch`] variant is for external (non-worker) threads and blocks on
 //! a private mutex/condvar instead.
+//!
+//! # Why a raw sleep pointer
+//!
+//! A latch used to hold an `Arc` of the sleep state. Every loop, `join` and
+//! `scope` created one, so each paid a clone and a drop — two RMWs on a
+//! reference count every worker of the pool writes. The pointer is
+//! borrowed instead, and no safe public constructor can create a wired
+//! latch: the crate-internal constructors are used only by constructs that
+//! wait on the latch before the pool can go away, and the public one,
+//! [`WorkerToken::count_latch`](crate::WorkerToken::count_latch), is
+//! `unsafe` with the contract that the pool outlives every `set`.
 //!
 //! # Memory-ordering proof (fence audit)
 //!
@@ -31,10 +42,34 @@
 //!   plain counter; callers must not revive a finished latch (debug
 //!   asserted).
 
+use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use crate::sleep::Sleep;
+
+/// The sleep state a latch wakes on `set`; null for detached latches.
+#[derive(Clone, Copy)]
+struct SleepPtr(*const Sleep);
+
+// SAFETY: `Sleep` is `Sync`, and the pointer is only dereferenced under the
+// constructors' contract that the pool (and its sleep state) outlives every
+// `set`.
+unsafe impl Send for SleepPtr {}
+unsafe impl Sync for SleepPtr {}
+
+impl SleepPtr {
+    const DETACHED: SleepPtr = SleepPtr(ptr::null());
+
+    #[inline]
+    fn notify_all(self) {
+        // SAFETY: non-null pointers come from `with_sleep`, whose caller
+        // keeps the sleep state alive across every `set`.
+        if let Some(sleep) = unsafe { self.0.as_ref() } {
+            sleep.notify_all();
+        }
+    }
+}
 
 /// Something that can be signalled complete.
 pub trait Latch {
@@ -51,28 +86,32 @@ pub trait Probe {
 /// A one-shot boolean latch awaited by spinning/stealing workers.
 pub struct SpinLatch {
     done: AtomicBool,
-    sleep: Option<Arc<Sleep>>,
+    sleep: SleepPtr,
 }
 
 impl SpinLatch {
     /// A latch whose `set` wakes sleepers of the pool owning `sleep`.
-    pub(crate) fn with_sleep(sleep: Arc<Sleep>) -> Self {
-        SpinLatch { done: AtomicBool::new(false), sleep: Some(sleep) }
+    ///
+    /// # Safety
+    /// `sleep` must outlive every `set` of the latch.
+    pub(crate) unsafe fn with_sleep(sleep: &Sleep) -> Self {
+        SpinLatch { done: AtomicBool::new(false), sleep: SleepPtr(sleep) }
     }
 
     /// A detached latch (tests, or waiters that never park).
     pub fn detached() -> Self {
-        SpinLatch { done: AtomicBool::new(false), sleep: None }
+        SpinLatch { done: AtomicBool::new(false), sleep: SleepPtr::DETACHED }
     }
 }
 
 impl Latch for SpinLatch {
     #[inline]
     fn set(&self) {
+        // Copy the pointer out first: once `done` is visible the waiter may
+        // return and free the latch itself.
+        let sleep = self.sleep;
         self.done.store(true, Ordering::Release);
-        if let Some(s) = &self.sleep {
-            s.notify_all();
-        }
+        sleep.notify_all();
     }
 }
 
@@ -89,17 +128,22 @@ impl Probe for SpinLatch {
 /// scopes (one count per spawned task) and team regions (one per worker).
 pub struct CountLatch {
     count: AtomicUsize,
-    sleep: Option<Arc<Sleep>>,
+    sleep: SleepPtr,
 }
 
 impl CountLatch {
-    pub(crate) fn with_sleep(count: usize, sleep: Arc<Sleep>) -> Self {
-        CountLatch { count: AtomicUsize::new(count), sleep: Some(sleep) }
+    /// A counting latch whose final `set` wakes sleepers of the pool
+    /// owning `sleep`.
+    ///
+    /// # Safety
+    /// `sleep` must outlive every `set`/`set_many` of the latch.
+    pub(crate) unsafe fn with_sleep(count: usize, sleep: &Sleep) -> Self {
+        CountLatch { count: AtomicUsize::new(count), sleep: SleepPtr(sleep) }
     }
 
     /// A detached counting latch (tests, or non-parking waiters).
     pub fn detached(count: usize) -> Self {
-        CountLatch { count: AtomicUsize::new(count), sleep: None }
+        CountLatch { count: AtomicUsize::new(count), sleep: SleepPtr::DETACHED }
     }
 
     /// Add `n` more expected completions. Must not be called after the
@@ -121,16 +165,16 @@ impl CountLatch {
     /// identical to `set`'s (module docs).
     ///
     /// [`set`]: Latch::set
+    #[inline]
     pub fn set_many(&self, n: usize) {
         if n == 0 {
             return;
         }
+        let sleep = self.sleep;
         let prev = self.count.fetch_sub(n, Ordering::AcqRel);
         debug_assert!(prev >= n, "CountLatch underflow (set_many)");
         if prev == n {
-            if let Some(s) = &self.sleep {
-                s.notify_all();
-            }
+            sleep.notify_all();
         }
     }
 }
@@ -138,13 +182,7 @@ impl CountLatch {
 impl Latch for CountLatch {
     #[inline]
     fn set(&self) {
-        let prev = self.count.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "CountLatch underflow");
-        if prev == 1 {
-            if let Some(s) = &self.sleep {
-                s.notify_all();
-            }
-        }
+        self.set_many(1);
     }
 }
 
@@ -266,6 +304,7 @@ mod tests {
         // The release half of the combined RMW must publish all writes
         // that preceded it, exactly like per-unit `set` (the hybrid walk
         // relies on this when it batches partition completions).
+        use std::sync::Arc;
         let l = Arc::new(CountLatch::detached(4));
         let data = Arc::new([0u64; 4].map(|_| std::sync::atomic::AtomicUsize::new(0)));
         let (l2, d2) = (Arc::clone(&l), Arc::clone(&data));

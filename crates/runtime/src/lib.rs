@@ -15,10 +15,11 @@
 //!   used to emulate OpenMP-style parallel regions where *every* worker of
 //!   the team executes a per-thread body (needed for the `omp_static`,
 //!   `omp_dynamic` and `omp_guided` baselines);
-//! * raw deque access ([`ThreadPool::spawn_local`]) — used by
-//!   `parloop-core` to implement the paper's `DoHybridLoop` steal protocol,
-//!   where the hybrid-loop *frame* is a stealable job that re-instantiates
-//!   itself under the thief's worker ID.
+//! * raw deque access ([`WorkerToken::publish`] / [`WorkerToken::retract`])
+//!   — used by `parloop-core` to implement the paper's `DoHybridLoop` steal
+//!   protocol, where the hybrid-loop *frame* is a stealable intrusive job
+//!   on the loop's own state that re-instantiates itself under the thief's
+//!   worker ID, and its publisher pops it back if nobody took it.
 //!
 //! # Worker identity
 //!
@@ -50,7 +51,7 @@ pub mod util;
 pub use cancel::{CancelToken, Cancelled};
 pub use health::{PoolHealth, StallReport, WorkerState};
 pub use inject::{QosClass, DRR_WEIGHTS};
-pub use job::POISONED_JOB_MSG;
+pub use job::{ArcJob, POISONED_JOB_MSG};
 pub use join::join;
 pub use latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
 pub use registry::{

@@ -32,8 +32,8 @@ use parloop_trace::{CounterBank, NoopSink, TraceEvent, TraceSink, WorkerStats};
 use crate::deque::{self, Steal, Stealer};
 use crate::health::{PoolHealth, StallReport, WorkerState};
 use crate::inject::{InjectLanes, Lane, QosClass};
-use crate::job::{HeapJob, JobRef, StackJob};
-use crate::latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
+use crate::job::{ArcJob, HeapJob, JobRef, StackJob};
+use crate::latch::{CountLatch, Latch, LockLatch, Probe};
 use crate::rng::XorShift64Star;
 use crate::sleep::{spin_rounds, Backoff, Sleep, SleepOutcome};
 use crate::unwind;
@@ -47,7 +47,7 @@ pub const DEFAULT_STALL_THRESHOLD: Duration = Duration::from_secs(2);
 /// A raw-pointer wrapper that asserts cross-thread transferability.
 ///
 /// Used to smuggle borrows of stack data into heap jobs whose completion is
-/// awaited before the borrow expires (team broadcasts, hybrid-loop frames).
+/// awaited before the borrow expires (team broadcasts).
 pub(crate) struct SendPtr<T: ?Sized>(*const T);
 unsafe impl<T: ?Sized> Send for SendPtr<T> {}
 unsafe impl<T: ?Sized> Sync for SendPtr<T> {}
@@ -115,6 +115,11 @@ pub struct PoolStats {
     /// assist handles). Eager splitting pays `O(n/grain)` of these per
     /// loop; the lazy splitter's bound is `O(steals + 1)`.
     pub jobs_pushed: u64,
+    /// The subset of [`jobs_pushed`](Self::jobs_pushed) popped back
+    /// unexecuted by their publisher ([`WorkerToken::retract`]): hybrid
+    /// frames and assist handles no idle worker took before the publisher
+    /// finished its part of the loop.
+    pub jobs_retracted: u64,
     /// Lazy-loop assist handles adopted by thieves.
     pub assist_joins: u64,
     /// Successful steals.
@@ -176,7 +181,7 @@ pub(crate) struct Registry {
     stealers: Vec<Stealer<JobRef>>,
     mailboxes: Vec<Lane>,
     injected: InjectLanes,
-    pub(crate) sleep: Arc<Sleep>,
+    pub(crate) sleep: Sleep,
     /// Empty search rounds before an idle worker parks, fixed at build
     /// from the pool size and the host's CPU count ([`spin_rounds`]).
     spin_rounds: u32,
@@ -600,6 +605,20 @@ impl WorkerThread {
         job
     }
 
+    /// Pop this worker's bottom job back unexecuted if it is the intrusive
+    /// job on `state`. Traced as the owner pop it is.
+    fn retract<T>(&self, state: &Arc<T>) -> bool {
+        let Some(job) = self.deque.pop_if(|job| job.is_arc_of(state)) else {
+            return false;
+        };
+        // SAFETY: `job` is an intrusive job on `state` and it left the
+        // deque through the owner's pop, so no thief can run it.
+        unsafe { job.release_arc(state) };
+        self.registry.counters.note_job_retracted(self.index);
+        self.trace(TraceEvent::JobPopped);
+        true
+    }
+
     /// One full randomized sweep over other workers' deques: under
     /// [`StealPolicy::Uniform`] a single pass over everyone; under
     /// [`StealPolicy::SocketFirst`] a pass over same-socket victims, then
@@ -917,8 +936,8 @@ impl WorkerThread {
             }
         };
         if exit == LoopExit::Terminate {
-            // Drain leftovers so heap jobs (e.g. spent hybrid-loop adopter
-            // frames) are reclaimed rather than leaked. By the shutdown
+            // Drain leftovers so heap jobs and intrusive loop jobs are
+            // reclaimed rather than leaked. By the shutdown
             // invariant every StackJob has already completed, so anything
             // left here is a self-contained heap job that is safe to run;
             // panics are contained so one poisoned leftover cannot leak
@@ -1217,7 +1236,7 @@ impl ThreadPoolBuilder {
             stealers,
             mailboxes: (0..n).map(|_| Lane::new_fifo()).collect(),
             injected: InjectLanes::new(self.inject_lanes.unwrap_or(n)),
-            sleep: Arc::new(Sleep::with_base(self.backstop_interval)),
+            sleep: Sleep::with_base(self.backstop_interval),
             spin_rounds: spin_rounds(
                 n,
                 std::thread::available_parallelism().map_or(1, |c| c.get()),
@@ -1347,6 +1366,7 @@ impl ThreadPool {
         PoolStats {
             jobs_executed: t.jobs_executed,
             jobs_pushed: t.jobs_pushed,
+            jobs_retracted: t.jobs_retracted,
             assist_joins: t.assist_joins,
             steals: t.steals,
             remote_steals: t.remote_steals,
@@ -1490,7 +1510,9 @@ impl ThreadPool {
             let wt = unsafe { WorkerThread::current().expect("installed on a worker") };
             let reg = wt.registry();
             let n = reg.num_workers();
-            let latch = CountLatch::with_sleep(n.saturating_sub(1), Arc::clone(&reg.sleep));
+            // SAFETY: the broadcaster waits on the latch, so the pool is
+            // alive for every `set`.
+            let latch = unsafe { CountLatch::with_sleep(n.saturating_sub(1), &reg.sleep) };
             let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
             let body_ptr: SendPtr<dyn Fn(usize) + Sync> =
@@ -1614,14 +1636,46 @@ impl WorkerToken {
         self.worker().push(HeapJob::new(f).into_job_ref());
     }
 
-    /// Create a counting latch wired to this pool's wake machinery.
-    pub fn count_latch(&self, count: usize) -> CountLatch {
-        CountLatch::with_sleep(count, Arc::clone(&self.worker().registry().sleep))
+    /// Push an intrusive job on `state` onto this worker's own deque: one
+    /// strong-count increment and one push, no allocation. Whoever pops or
+    /// steals it runs [`ArcJob::execute`], which consumes that reference;
+    /// [`retract`](Self::retract) pops it back unexecuted.
+    ///
+    /// # Safety
+    ///
+    /// `T` may borrow data that dies before the job runs (a loop body on
+    /// the publisher's stack): the job can run at any later time — even
+    /// after the pool is dropped, on the dropping thread. The caller must
+    /// guarantee that every access `T::execute` makes to borrowed data
+    /// happens while that data is alive (typically: it is touched only
+    /// for work claimed while the publisher still blocks on a latch), and
+    /// that dropping `T` touches no borrowed data. This is the contract a
+    /// lifetime-erased boxed closure would need; here the state is shared
+    /// instead of copied into a box.
+    pub unsafe fn publish<T: ArcJob>(&self, state: &Arc<T>) {
+        self.worker().push(JobRef::from_arc(state));
     }
 
-    /// Create a one-shot latch wired to this pool's wake machinery.
-    pub fn spin_latch(&self) -> SpinLatch {
-        SpinLatch::with_sleep(Arc::clone(&self.worker().registry().sleep))
+    /// Pop the intrusive job on `state` back off this worker's deque if it
+    /// is the bottom entry — that is, if nobody took it and nothing pushed
+    /// after it is still queued. Returns whether a job was retracted; the
+    /// reference it held is released. Counted in
+    /// [`PoolStats::jobs_retracted`] and traced as
+    /// [`TraceEvent::JobPopped`].
+    pub fn retract<T: ArcJob>(&self, state: &Arc<T>) -> bool {
+        self.worker().retract(state)
+    }
+
+    /// Create a counting latch wired to this pool's wake machinery.
+    ///
+    /// # Safety
+    ///
+    /// The latch points at the pool's sleep state without owning it, so
+    /// the pool must outlive every `set`/`set_many` of the latch. Sets
+    /// made by this pool's own workers, or by any thread before the pool
+    /// is dropped, satisfy this.
+    pub unsafe fn count_latch(&self, count: usize) -> CountLatch {
+        CountLatch::with_sleep(count, &self.worker().registry().sleep)
     }
 
     /// Work-first wait: execute available jobs until `latch` completes.
@@ -1674,6 +1728,13 @@ impl WorkerToken {
     /// steal sweep uses.
     pub fn topology(&self) -> Arc<TopologyMap> {
         Arc::clone(&self.worker().registry().topology)
+    }
+
+    /// Run `f` on the pool's worker → socket map without taking a
+    /// reference to it (the per-loop form of [`topology`](Self::topology)).
+    #[inline]
+    pub fn with_topology<R>(&self, f: impl FnOnce(&TopologyMap) -> R) -> R {
+        f(&self.worker().registry().topology)
     }
 
     /// The socket this worker lives on (`0` under the flat default map).
@@ -1817,7 +1878,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         pool.install(|| {
             let t = WorkerToken::current().unwrap();
-            let latch = t.count_latch(8);
+            let latch = unsafe { t.count_latch(8) };
             for _ in 0..8 {
                 let c = Arc::clone(&counter);
                 let l: SendPtr<CountLatch> = SendPtr::new(&latch);

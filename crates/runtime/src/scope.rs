@@ -52,10 +52,12 @@ pub struct Scope<'scope> {
 pub fn scope<'scope, R>(body: impl FnOnce(&Scope<'scope>) -> R) -> R {
     let wt = unsafe { WorkerThread::current() }.expect("scope() requires a pool worker thread");
     let registry = Arc::clone(wt.registry());
-    let sleep = Arc::clone(&registry.sleep);
+    // SAFETY: the scope owns a reference to the registry that holds the
+    // sleep state, and every `set` happens before `scope` returns.
+    let pending = unsafe { CountLatch::with_sleep(1, &registry.sleep) };
     let s = Scope {
         registry,
-        pending: CountLatch::with_sleep(1, sleep),
+        pending,
         panic: Mutex::new(None),
         poisoned: AtomicBool::new(false),
         marker: PhantomData,

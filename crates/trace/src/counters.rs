@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct PaddedCounters {
     jobs_executed: AtomicU64,
     jobs_pushed: AtomicU64,
+    jobs_retracted: AtomicU64,
     assist_joins: AtomicU64,
     steals: AtomicU64,
     remote_steals: AtomicU64,
@@ -37,6 +38,10 @@ pub struct WorkerStats {
     /// lazy-loop assist handles). The quantity the lazy splitter bounds by
     /// `O(steals + 1)` per loop where eager splitting pays `O(n/grain)`.
     pub jobs_pushed: u64,
+    /// The subset of [`jobs_pushed`](Self::jobs_pushed) this worker popped
+    /// back unexecuted: a hybrid frame or lazy assist handle nobody took
+    /// before its publisher's participation in the loop ended.
+    pub jobs_retracted: u64,
     /// Lazy-loop assist handles this worker adopted (it registered as an
     /// assistant on another participant's shared cursor).
     pub assist_joins: u64,
@@ -97,6 +102,12 @@ impl CounterBank {
     #[inline]
     pub fn note_job_pushed(&self, worker: usize) {
         self.workers[worker].jobs_pushed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one job `worker` popped back off its own deque unexecuted.
+    #[inline]
+    pub fn note_job_retracted(&self, worker: usize) {
+        self.workers[worker].jobs_retracted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one lazy-loop assist handle adopted by `worker`.
@@ -193,6 +204,7 @@ impl CounterBank {
         WorkerStats {
             jobs_executed: c.jobs_executed.load(Ordering::Relaxed),
             jobs_pushed: c.jobs_pushed.load(Ordering::Relaxed),
+            jobs_retracted: c.jobs_retracted.load(Ordering::Relaxed),
             assist_joins: c.assist_joins.load(Ordering::Relaxed),
             steals: c.steals.load(Ordering::Relaxed),
             remote_steals: c.remote_steals.load(Ordering::Relaxed),
@@ -218,6 +230,7 @@ impl CounterBank {
             let s = self.worker(w);
             t.jobs_executed += s.jobs_executed;
             t.jobs_pushed += s.jobs_pushed;
+            t.jobs_retracted += s.jobs_retracted;
             t.assist_joins += s.assist_joins;
             t.steals += s.steals;
             t.remote_steals += s.remote_steals;
@@ -246,6 +259,7 @@ mod tests {
         bank.note_job_pushed(1);
         bank.note_job_pushed(1);
         bank.note_job_pushed(2);
+        bank.note_job_retracted(2);
         bank.note_assist_join(0);
         bank.note_steal(1);
         bank.note_remote_steal(1);
@@ -263,6 +277,7 @@ mod tests {
         bank.note_orphan_rescued(1);
         assert_eq!(bank.worker(0).jobs_executed, 2);
         assert_eq!(bank.worker(1).jobs_pushed, 2);
+        assert_eq!(bank.worker(2).jobs_retracted, 1);
         assert_eq!(bank.worker(0).assist_joins, 1);
         assert_eq!(bank.worker(1).steals, 1);
         assert_eq!(bank.worker(1).remote_steals, 1);
@@ -276,6 +291,7 @@ mod tests {
         let t = bank.totals();
         assert_eq!(t.jobs_executed, 3);
         assert_eq!(t.jobs_pushed, 3);
+        assert_eq!(t.jobs_retracted, 1);
         assert_eq!(t.assist_joins, 1);
         assert_eq!(t.steals, 1);
         assert_eq!(t.remote_steals, 1);

@@ -3,7 +3,7 @@
 # commits, by the rule for small hosts: alternating pairs, each side's
 # median and quartiles, and the share of pairs the change won.
 #
-#   scripts/ab.sh <parent-rev> <change-rev> <workload> <pairs> [seconds]
+#   scripts/ab.sh <parent-rev> <change-rev> <workload> <pairs> [seconds] [trace]
 #
 # Each rev is checked out into its own git worktree and perfbench is built
 # there under its own CARGO_TARGET_DIR. Pair i runs both sides with seed i,
@@ -12,18 +12,25 @@
 # prints both sides' median [q1, q3], the change/parent ratio of medians,
 # the pairs the change won (ties count for neither) and whether that is a
 # gain: at least 9/10 of the pairs won and a median gap wider than the
-# parent's interquartile range. Every run's result line is kept under the
-# work directory printed at the start; worktrees and builds are removed at
-# exit.
+# parent's interquartile range. With the word `trace` both sides run with
+# `--trace 1`, and the table also lists the per-layer loop-job counts and
+# the empty-loop floor (median [q1, q3] and ratio; lower is better for
+# each). Every run's result line is kept under the work directory printed
+# at the start; worktrees and builds are removed at exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
-  echo "usage: scripts/ab.sh <parent-rev> <change-rev> <workload> <pairs> [seconds]" >&2
+usage() {
+  echo "usage: scripts/ab.sh <parent-rev> <change-rev> <workload> <pairs> [seconds] [trace]" >&2
   exit 2
-fi
+}
+[ "$#" -ge 4 ] && [ "$#" -le 6 ] || usage
 PARENT_REV=$1 CHANGE_REV=$2 WORKLOAD=$3 PAIRS=$4
-SECONDS_ARG=${5:-$(grep -o '"run_seconds": *[0-9]*' BENCHMARK.json | grep -o '[0-9]*$')}
+TRACE=0 SECONDS_ARG=
+for arg in "${@:5}"; do
+  if [ "$arg" = trace ]; then TRACE=1; elif [ -z "$SECONDS_ARG" ]; then SECONDS_ARG=$arg; else usage; fi
+done
+SECONDS_ARG=${SECONDS_ARG:-$(grep -o '"run_seconds": *[0-9]*' BENCHMARK.json | grep -o '[0-9]*$')}
 [[ "$PAIRS" =~ ^[1-9][0-9]*$ ]] || { echo "ab.sh: pairs must be a positive integer" >&2; exit 2; }
 [[ "$SECONDS_ARG" =~ ^[1-9][0-9]*$ ]] || { echo "ab.sh: seconds must be a positive integer" >&2; exit 2; }
 
@@ -52,7 +59,7 @@ done
 run() {
   local side=$1 seed=$2 line
   line=$(cd "$WORK/$side" && "$WORK/target-$side/release/parloop-perfbench" \
-    --workload "$WORKLOAD" --seed "$seed" --seconds "$SECONDS_ARG" --trace 0 \
+    --workload "$WORKLOAD" --seed "$seed" --seconds "$SECONDS_ARG" --trace "$TRACE" \
     2>"$WORK/$side.stderr" | tail -n 1) \
     || { echo "ab.sh: $side run failed (seed $seed), see $WORK/$side.stderr" >&2; exit 1; }
   echo "$line" >>"$WORK/$side.jsonl"
@@ -81,8 +88,16 @@ flatten() {
 }
 
 # "<metric> lower|higher" for every end-to-end metric BENCHMARK.json lists.
-grep -o '{"name": "[^"]*", "unit": "[^"]*", "better": "[^"]*"' BENCHMARK.json \
+sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json \
+  | grep -o '{"name": "[^"]*", "unit": "[^"]*", "better": "[^"]*"' \
   | awk -F'"' '{ print $4, $12 }' >"$WORK/better.txt"
+if [ "$TRACE" = 1 ]; then
+  # The traced run's per-layer view of the loop jobs and the floor.
+  for m in runtime.pushes_per_loop runtime.steals_per_loop core.loop_floor_us \
+    core.hybrid.adoptions_per_loop core.lazy.assists_per_loop; do
+    echo "$m lower"
+  done >>"$WORK/better.txt"
+fi
 
 {
   flatten "$WORK/parent.jsonl" | sed 's/^/parent /'

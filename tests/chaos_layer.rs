@@ -280,7 +280,9 @@ fn watchdog_reports_stall_instead_of_hanging() {
     // trip (threshold 50ms) well before the latch releases the wait.
     pool.install(|| {
         let token = WorkerToken::current().expect("install runs on a worker");
-        let latch = Arc::new(token.count_latch(1));
+        // SAFETY: the releaser thread is joined inside this install, so
+        // the pool outlives its `set`.
+        let latch = Arc::new(unsafe { token.count_latch(1) });
         let releaser = {
             let latch = Arc::clone(&latch);
             std::thread::spawn(move || {
@@ -503,7 +505,9 @@ fn quarantined_worker_heals_and_pool_drops_cleanly() {
     // escalation (reporter != victim, victim unparked and flat).
     pool.install(|| {
         let token = WorkerToken::current().expect("install runs on a worker");
-        let latch = Arc::new(token.count_latch(1));
+        // SAFETY: the releaser thread is joined inside this install, so
+        // the pool outlives its `set`.
+        let latch = Arc::new(unsafe { token.count_latch(1) });
         let releaser = {
             let latch = Arc::clone(&latch);
             let gate = Arc::clone(&gate);
@@ -700,7 +704,9 @@ fn steal_sweep_skips_quarantined_victims() {
     // (reporter != victim; the wedged worker's heartbeats stay flat).
     pool.install(|| {
         let token = WorkerToken::current().expect("install runs on a worker");
-        let latch = Arc::new(token.count_latch(1));
+        // SAFETY: the releaser thread is joined inside this install, so
+        // the pool outlives its `set`.
+        let latch = Arc::new(unsafe { token.count_latch(1) });
         let releaser = {
             let latch = Arc::clone(&latch);
             let gate = Arc::clone(&gate);

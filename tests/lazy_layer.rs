@@ -211,6 +211,33 @@ fn panic_in_assistant_propagates_and_pool_is_reusable() {
     assert_eq!(sum.load(Ordering::Relaxed), 4950);
 }
 
+/// Assist handles are budgeted at P − 1 per loop: the owner publishes one
+/// and an assistant re-publishes only while the budget lasts, since only
+/// P − 1 other workers can take a handle.
+#[test]
+fn at_most_p_minus_one_handles_per_loop() {
+    for p in [2usize, 3, 4] {
+        let pool = ThreadPool::new(p);
+        let hits: Vec<AtomicUsize> = (0..4096).map(|_| AtomicUsize::new(0)).collect();
+        let mut max_pushes = 0;
+        pool.install(|| {
+            for _ in 0..100 {
+                let before = pool.stats().jobs_pushed;
+                lazy_for_chunks(0..4096, 16, &|chunk: Range<usize>| {
+                    for i in chunk {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                        std::hint::black_box(i);
+                    }
+                });
+                max_pushes = max_pushes.max(pool.stats().jobs_pushed - before);
+            }
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 100), "P={p}");
+        assert!(max_pushes >= 1, "P={p}: the owner publishes a handle");
+        assert!(max_pushes < p as u64, "P={p}: {max_pushes} handles in one loop (bound P - 1)");
+    }
+}
+
 /// The single-worker bypass: a P = 1 lazy loop runs the plain grain loop
 /// (no coordinator, no assist publish), covers everything exactly once,
 /// and pushes nothing onto the deque.
